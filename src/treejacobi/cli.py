@@ -2,22 +2,19 @@
 
 Every subcommand prints one JSON report to stdout (see `reports`), a
 short human summary to stderr, and exits 0 when all checks pass, 1 when
-some check fails, 2 on usage or input-parsing errors.  The environment
-variable TREEJACOBI_THREADS caps the worker pool used for independent
-suite items in `verify-all`.
+some check fails, 2 on usage or input-parsing errors.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import classical1d, constructions, solutions, spectra, treepoly
-from .errors import ParseError, TreeJacobiError, ValidationError
+from .errors import (ParseError, TreeJacobiError, UnknownVertexError,
+                     ValidationError)
 from .exactmath import GaussianRational, I, parse_gaussian, parse_rational
 from .reports import make_report, render, to_jsonable
 from .treecore import (TreeTruncation, build_from_spec, default_path,
@@ -384,19 +381,7 @@ def _suite_items(tree: TreeTruncation, seed: int, z: GaussianRational):
 def _cmd_verify_all(args, argv) -> int:
     tree = _load_tree(args.tree)
     z = parse_gaussian(args.z)
-    items = _suite_items(tree, args.seed, z)
-    workers = max(1, int(os.environ.get("TREEJACOBI_THREADS", "1")))
-
-    def run(item):
-        name, fn = item
-        ok, detail = fn()
-        return name, ok, detail
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(run, items))
-    else:
-        outcomes = [run(item) for item in items]
+    outcomes = [(name, *fn()) for name, fn in _suite_items(tree, args.seed, z)]
     results = {name: {"ok": ok, **to_jsonable(detail)}
                for name, ok, detail in outcomes}
     failures = [name for name, ok, _ in outcomes if not ok]
@@ -488,7 +473,8 @@ def main(argv: list[str] | None = None) -> int:
         return USAGE_EXIT if exc.code not in (0,) else 0
     try:
         return args.fn(args, argv)
-    except (ParseError, ValidationError, ValueError, OSError) as exc:
+    except (ParseError, ValidationError, UnknownVertexError, ValueError,
+            OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_EXIT
     except TreeJacobiError as exc:

@@ -28,6 +28,10 @@ class ValidationError(TreeJacobiError, ValueError):
 class UnknownVertexError(TreeJacobiError, KeyError):
     """A vertex identifier is not present in the tree."""
 
+    def __str__(self) -> str:
+        # KeyError would print the repr of the message
+        return str(self.args[0]) if self.args else ""
+
 
 class ConstructionError(TreeJacobiError):
     """An inductive matrix construction hit a case its theory excludes."""

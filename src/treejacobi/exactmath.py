@@ -4,9 +4,11 @@ Scalars are `fractions.Fraction` (canonical form is the stdlib's job) and
 complex scalars are :class:`GaussianRational`, a pair of Fractions.  A
 polynomial is a tuple of Fraction coefficients, lowest degree first, with
 no trailing zeros; the zero polynomial has an empty tuple.  Everything in
-this module is exact: there is no floating point anywhere, and every
-decision (root counting, interlacing, sign) is made through Sturm chains
-and rational comparisons.
+this module is exact: there is no floating point anywhere.  Every
+decision is made from integer signed remainder sequences and rational
+comparisons: root counting evaluates a Sturm chain at rational points,
+and strict interlacing reads the Cauchy index off the leading
+coefficients of one remainder sequence, with no evaluation at all.
 
 Text formats:
 
@@ -35,12 +37,18 @@ _GAUSSIAN_RE = re.compile(
 )
 
 
+def _fraction(text: str, whole: str) -> Fraction:
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ParseError(f"zero denominator in {whole!r}") from None
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse ``"p/q"`` (or plain ``"p"``) into a Fraction."""
-    text = text.strip()
-    if not _RATIONAL_RE.match(text):
+    if not isinstance(text, str) or not _RATIONAL_RE.match(text.strip()):
         raise ParseError(f"not a rational literal: {text!r}")
-    return Fraction(text)
+    return _fraction(text.strip(), text)
 
 
 def format_rational(x: Fraction) -> str:
@@ -50,11 +58,11 @@ def format_rational(x: Fraction) -> str:
 
 def parse_gaussian(text: str) -> "GaussianRational":
     """Parse ``"a/b+c/di"`` (either part may be absent, not both)."""
-    m = _GAUSSIAN_RE.match(text.strip().replace(" ", ""))
+    m = isinstance(text, str) and _GAUSSIAN_RE.match(text.strip().replace(" ", ""))
     if not m or (m.group("re") is None and m.group("im") is None):
         raise ParseError(f"not a Gaussian rational literal: {text!r}")
-    re_part = Fraction(m.group("re")) if m.group("re") else Fraction(0)
-    im_part = Fraction(m.group("im")) if m.group("im") else Fraction(0)
+    re_part = _fraction(m.group("re"), text) if m.group("re") else Fraction(0)
+    im_part = _fraction(m.group("im"), text) if m.group("im") else Fraction(0)
     return GaussianRational(re_part, im_part)
 
 
@@ -391,24 +399,30 @@ def poly_lcm_many(polys: Sequence[Poly]) -> Poly:
 # ---------------------------------------------------------------------
 
 
-def sturm_chain(p: Poly) -> list[Poly]:
-    """A generalized Sturm chain for p: each member is a positive scalar
-    multiple of the classical chain entry, computed over the integers with
-    content stripping so coefficients stay manageable at high degree.
-    Sign-variation counts are identical to the classical chain's."""
-    if p.degree < 1:
-        return [p]
-    first = _integer_coeffs(p)
-    second = _integer_coeffs(p.derivative())
-    chain = [first, second]
-    while len(chain[-1]) - 1 >= 1:
-        r, sign = _signed_prem(chain[-2], chain[-1])
+def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
+    """The signed remainder sequence a, b, -rem(a, b), ... over the
+    integers: each member is a positive scalar multiple of the classical
+    entry, content-stripped so coefficients stay manageable at high
+    degree.  It ends at a nonzero constant or at the last nonzero member
+    (a multiple of gcd(a, b)).  Needs b nonzero."""
+    seq = [a, b]
+    while len(seq[-1]) - 1 >= 1:
+        r, sign = _signed_prem(seq[-2], seq[-1])
         if not r:
             break
         if sign > 0:
             r = [-v for v in r]
-        chain.append(_strip_content(r))
-    return [Poly(c) for c in chain]
+        seq.append(_strip_content(r))
+    return seq
+
+
+def sturm_chain(p: Poly) -> list[Poly]:
+    """A generalized Sturm chain for p: the remainder sequence of (p, p').
+    Sign-variation counts are identical to the classical chain's."""
+    if p.degree < 1:
+        return [p]
+    seq = _remainder_sequence(_integer_coeffs(p), _integer_coeffs(p.derivative()))
+    return [Poly(c) for c in seq]
 
 
 def _sign(x: Fraction) -> int:
@@ -604,6 +618,10 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootSet:
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
+    if width is not None and width <= 0:
+        # refinement would never reach a width <= 0 around an irrational root
+        raise ValueError("root-interval width must be positive, got "
+                         f"{format_rational(width)}")
     factored = square_free_decomposition(p)
     tagged: list[tuple[Fraction, Fraction, int, Poly, Sequence[Poly]]] = []
     for g, mult in factored:
@@ -646,42 +664,38 @@ def has_only_real_simple_roots(p: Poly) -> bool:
     return count_real_roots(p) == p.degree
 
 
+def _cauchy_index(p: Poly, q: Poly) -> int:
+    """The Cauchy index of q/p over the whole real line: the number of
+    real poles where q/p jumps from -inf to +inf minus the number where it
+    jumps from +inf to -inf.  It equals V(-inf) - V(+inf), the sign
+    variations of the leading coefficients along the signed remainder
+    sequence of (p, q) (Basu-Pollack-Roy, Algorithms in Real Algebraic
+    Geometry, Thm 2.58), so no point is ever evaluated.  p and q must be
+    nonzero."""
+    seq = [Poly(c) for c in
+           _remainder_sequence(_integer_coeffs(p), _integer_coeffs(q))]
+    return _variations_at_inf(seq, False) - _variations_at_inf(seq, True)
+
+
 def strict_interlace(p: Poly, q: Poly) -> bool:
-    """Exact strict interlacing test for deg p = deg q + 1.
+    """Exact strict interlacing test for deg p = deg q + 1 = n.
 
     True iff both polynomials have only real, simple roots, they share no
     root, and between consecutive roots of p lies exactly one root of q
     (equivalently the merged root sequence strictly alternates p q p ... p).
     Degenerate case: deg q = 0 requires only that p has one real root.
+
+    Decided by the Hermite-Biehler / Obreschkoff criterion: p and q
+    interlace strictly exactly when the Cauchy index of q/p is +n or -n.
+    An index of absolute value n needs n distinct real roots of p, each a
+    pole of q/p whose residue q(r)/p'(r) has one common sign; as p'
+    alternates in sign along the roots of p, q then changes sign between
+    each consecutive pair, which places its n - 1 roots one per gap.  See
+    Basu-Pollack-Roy, Algorithms in Real Algebraic Geometry, Thm 2.58, and
+    Brown-Traub 1971 on subresultant remainder sequences.
     """
     if p.is_zero or q.is_zero:
         return False
     if p.degree != q.degree + 1:
         return False
-    if not has_only_real_simple_roots(p) or not has_only_real_simple_roots(q):
-        return False
-    if q.degree == 0:
-        return True
-    if poly_gcd(p, q).degree > 0:
-        return False
-    ip = [(a, b, "p", p, sturm_chain(p)) for a, b in
-          _isolate_square_free(p, sturm_chain(p))]
-    iq = [(a, b, "q", q, sturm_chain(q)) for a, b in
-          _isolate_square_free(q, sturm_chain(q))]
-    items = ip + iq
-    changed = True
-    while changed:
-        changed = False
-        items.sort(key=lambda t: (t[0], t[1]))
-        for i in range(len(items) - 1):
-            a1, b1, t1, g1, c1 = items[i]
-            a2, b2, t2, g2, c2 = items[i + 1]
-            if b1 > a2:
-                if b1 != a1:
-                    items[i] = (*_refine_interval(g1, c1, a1, b1, (b1 - a1) / 2), t1, g1, c1)
-                if b2 != a2:
-                    items[i + 1] = (*_refine_interval(g2, c2, a2, b2, (b2 - a2) / 2), t2, g2, c2)
-                changed = True
-    pattern = [t for _, _, t, _, _ in items]
-    expected = ["p" if i % 2 == 0 else "q" for i in range(len(items))]
-    return pattern == expected
+    return abs(_cauchy_index(p, q)) == p.degree

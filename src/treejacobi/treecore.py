@@ -65,7 +65,7 @@ class TreeTruncation:
         try:
             return self._index[name]
         except KeyError:
-            raise UnknownVertexError(name) from None
+            raise UnknownVertexError(f"unknown vertex {name!r}") from None
 
     def is_leaf(self, v: int) -> bool:
         return not self.children[v]
@@ -88,11 +88,8 @@ class TreeTruncation:
             stack.extend(reversed(self.children[v]))
         return out
 
-    def post_order(self, x: int | None = None) -> list[int]:
-        """Children-before-parent ordering of the subtree at x (default top)."""
-        return self._post_order(self.top if x is None else x)
-
     def _post_order(self, root: int) -> list[int]:
+        """Children-before-parent ordering of the subtree at root."""
         out, stack = [], [(root, False)]
         while stack:
             v, expanded = stack.pop()
@@ -107,7 +104,7 @@ class TreeTruncation:
     def subtree(self, x: int) -> "TreeTruncation":
         """The truncation below x, with x as its top; coefficients inherited."""
         if not 0 <= x < self.size:
-            raise UnknownVertexError(x)
+            raise UnknownVertexError(f"unknown vertex index {x}")
         order = self.descendants(x)
         remap = {v: i for i, v in enumerate(order)}
         return TreeTruncation(

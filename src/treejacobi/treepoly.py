@@ -28,8 +28,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import UnknownVertexError
-from .exactmath import (ONE, Poly, RootSet, has_only_real_simple_roots,
-                        isolate_real_roots, poly_lcm_many, strict_interlace)
+from .exactmath import (ONE, Poly, has_only_real_simple_roots, poly_lcm_many,
+                        strict_interlace)
 from .treecore import TreeTruncation
 
 
@@ -42,7 +42,7 @@ class PolyFamily:
         self.tree = tree
         self.anchor = tree.top if anchor is None else anchor
         if not 0 <= self.anchor < tree.size:
-            raise UnknownVertexError(self.anchor)
+            raise UnknownVertexError(f"unknown vertex index {self.anchor}")
         self.self_poly: dict[int, Poly] = {}
         self.up_poly: dict[int, Poly] = {}
         self._entries: dict[tuple[int, int], Poly] = {}
@@ -146,19 +146,17 @@ def interlacing_report(fam: PolyFamily) -> FamilyReport:
         p_self, p_up = fam.self_poly[v], fam.up_poly[v]
         if p_up.degree != p_self.degree + 1:
             rep.checks.append(VertexCheck(name, False, "degree law violated"))
-            continue
-        if not has_only_real_simple_roots(p_self):
+        elif strict_interlace(p_up, p_self):
+            # strict interlacing implies real simple roots of both
+            rep.checks.append(VertexCheck(name, True))
+        elif not has_only_real_simple_roots(p_self):
             rep.checks.append(VertexCheck(name, False,
                                           "self polynomial roots not real simple"))
-            continue
-        if not has_only_real_simple_roots(p_up):
+        elif not has_only_real_simple_roots(p_up):
             rep.checks.append(VertexCheck(name, False,
                                           "up polynomial roots not real simple"))
-            continue
-        if not strict_interlace(p_up, p_self):
+        else:
             rep.checks.append(VertexCheck(name, False, "interlacing fails"))
-            continue
-        rep.checks.append(VertexCheck(name, True))
     return rep
 
 
@@ -203,9 +201,3 @@ def degree_law_report(fam: PolyFamily) -> FamilyReport:
               and fam.self_poly[v].leading() == 1)
         rep.checks.append(VertexCheck(name, ok, "" if ok else "degree/leading law"))
     return rep
-
-
-def family_roots(fam: PolyFamily, v: int, width=None) -> tuple[RootSet, RootSet]:
-    """Isolated roots of (self_poly[v], up_poly[v])."""
-    return (isolate_real_roots(fam.self_poly[v], width),
-            isolate_real_roots(fam.up_poly[v], width))

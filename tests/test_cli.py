@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import jsonschema
 import pytest
 
+import treejacobi
 from treejacobi.cli import main
 from treejacobi.reports import REPORT_SCHEMA
 from treejacobi.treecore import build_from_spec
@@ -171,17 +176,6 @@ def test_verify_all_passes_and_is_deterministic(capsys, star_file):
     assert first == second
 
 
-def test_verify_all_threads_env(capsys, star_file, monkeypatch):
-    monkeypatch.setenv("TREEJACOBI_THREADS", "4")
-    code, threaded = run(capsys, ["verify-all", "--tree", star_file,
-                                  "--seed", "7"])
-    monkeypatch.delenv("TREEJACOBI_THREADS")
-    code2, serial = run(capsys, ["verify-all", "--tree", star_file,
-                                 "--seed", "7"])
-    assert code == code2 == 0
-    assert threaded == serial
-
-
 def test_usage_error_exit_code(capsys, tmp_path):
     assert main(["spectrum"]) == 2            # missing --tree
     assert main(["no-such-command"]) == 2
@@ -191,6 +185,35 @@ def test_usage_error_exit_code(capsys, tmp_path):
     missing = tmp_path / "missing.json"
     assert main(["spectrum", "--tree", str(missing)]) == 2
     capsys.readouterr()
+
+
+BAD_BETA = STAR.replace('"beta": "0/1"}],', '"beta": "1/0"}],')
+NUMERIC_TOP_LAMBDA = STAR.replace('"top_lambda": "1/1"', '"top_lambda": 1')
+
+
+@pytest.mark.parametrize("doc, args", [
+    (BAD_BETA, ["verify-all"]),
+    (NUMERIC_TOP_LAMBDA, ["verify-all"]),
+    (STAR, ["solve", "--z=1/0+1/1i"]),
+    (STAR, ["poly", "--at", "nope"]),
+    (STAR, ["poly", "--target", "nope"]),
+    (STAR, ["spectrum", "--width", "0/1"]),
+    (STAR, ["spectrum", "--width=-1/2"]),
+], ids=["beta-1/0", "numeric-top_lambda", "z-1/0", "unknown-at",
+        "unknown-target", "width-0", "width-negative"])
+def test_bad_input_exits_2_with_one_line(tmp_path, doc, args):
+    tree = tmp_path / "tree.json"
+    tree.write_text(doc)
+    # a subprocess, so a traceback or a hang shows instead of raising here
+    src = str(Path(treejacobi.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-m", "treejacobi", args[0], "--tree", str(tree),
+         *args[1:]], capture_output=True, text=True, env=env, timeout=30)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert proc.stdout == ""
 
 
 def test_reports_are_byte_identical(capsys, star_file):

@@ -1,0 +1,152 @@
+"""The Cauchy-index `strict_interlace` against the slow isolation oracle.
+
+`isolation_interlace` is the earlier decision procedure, kept here as
+the reference: isolate the roots of both polynomials, refine the
+intervals until no two overlap, and read off the merged order.
+"""
+
+import random
+from fractions import Fraction as F
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from conftest import (exhaustive_corpus, random_beta, random_corpus,
+                      random_lambda)
+from treejacobi.exactmath import (ONE, Poly, X, _cauchy_index,
+                                  _isolate_square_free, _refine_interval,
+                                  cauchy_root_bound, has_only_real_simple_roots,
+                                  poly_gcd, strict_interlace, sturm_chain)
+from treejacobi.treecore import homogeneous_tree
+from treejacobi.treepoly import family
+
+
+def isolation_interlace(p: Poly, q: Poly) -> bool:
+    if p.is_zero or q.is_zero:
+        return False
+    if p.degree != q.degree + 1:
+        return False
+    if not has_only_real_simple_roots(p) or not has_only_real_simple_roots(q):
+        return False
+    if q.degree == 0:
+        return True
+    if poly_gcd(p, q).degree > 0:
+        return False
+    items = []
+    for tag, g in (("p", p), ("q", q)):
+        chain = sturm_chain(g)
+        items += [(a, b, tag, g, chain) for a, b in _isolate_square_free(g, chain)]
+    changed = True
+    while changed:
+        changed = False
+        items.sort(key=lambda t: (t[0], t[1]))
+        for i in range(len(items) - 1):
+            a1, b1, t1, g1, c1 = items[i]
+            a2, b2, t2, g2, c2 = items[i + 1]
+            if b1 > a2:
+                if b1 != a1:
+                    items[i] = (*_refine_interval(g1, c1, a1, b1, (b1 - a1) / 2),
+                                t1, g1, c1)
+                if b2 != a2:
+                    items[i + 1] = (*_refine_interval(g2, c2, a2, b2, (b2 - a2) / 2),
+                                    t2, g2, c2)
+                changed = True
+    pattern = [t for _, _, t, _, _ in items]
+    return pattern == ["p" if i % 2 == 0 else "q" for i in range(len(items))]
+
+
+def family_pairs(trees) -> set[tuple[Poly, Poly]]:
+    """The distinct (up, self) pairs over every vertex of every tree."""
+    pairs = set()
+    for tree in trees:
+        fam = family(tree)
+        pairs.update((fam.up_poly[v], fam.self_poly[v]) for v in fam.vertices())
+    return pairs
+
+
+def perturbed(p: Poly, q: Poly) -> list[tuple[Poly, Poly, bool | None]]:
+    """Pairs built from a family pair (p, q), each with its known verdict
+    (None: only the oracle knows it)."""
+    out = [(p, q + ONE, None)]                                # perturbed coefficient
+    if q.degree >= 1:
+        off = cauchy_root_bound(q) * ONE
+        out += [((X - off) * q, q, False),                    # shared roots
+                ((X * X + ONE) * q.derivative(), q, False),   # complex roots of p
+                ((X - off) * (X - off) * q.derivative(), q, False)]  # repeated root
+    return out
+
+
+def h24():
+    rng = random.Random(41)
+    return homogeneous_tree(2, 4, lam=lambda lv, addr: random_lambda(rng),
+                            beta=lambda lv, addr: random_beta(rng))
+
+
+def small_corpus_pairs():
+    return family_pairs(exhaustive_corpus(6) + random_corpus(7, 60))
+
+
+def test_family_pairs_match_oracle():
+    for p, q in family_pairs([h24()]) | small_corpus_pairs():
+        fast = strict_interlace(p, q)
+        assert fast == isolation_interlace(p, q)
+        # flipping q's sign flips the index, not its size (nor the roots)
+        assert strict_interlace(p, -q) == fast
+
+
+def test_perturbed_pairs_match_oracle():
+    negatives = 0
+    for p, q in small_corpus_pairs():
+        for pp, qq, known in perturbed(p, q):
+            fast = strict_interlace(pp, qq)
+            assert fast == isolation_interlace(pp, qq)
+            assert known is None or fast == known
+            negatives += not fast
+    assert negatives > 0
+
+
+@st.composite
+def linear_factor_pairs(draw):
+    """p and q as products of distinct integer linear factors, deg q =
+    deg p - 1, with leading coefficients of either sign.  Half of the
+    draws place the roots alternately (interlacing); the rest draw q's
+    roots freely, so they may coincide with p's or bunch up."""
+    n = draw(st.integers(1, 6))
+    points = sorted(draw(st.lists(st.integers(-9, 9), min_size=2 * n - 1,
+                                  max_size=2 * n - 1, unique=True)))
+    if draw(st.booleans()):
+        roots_p, roots_q = points[0::2], points[1::2]
+    else:
+        roots_p = points[:n]
+        roots_q = draw(st.lists(st.integers(-9, 9), min_size=n - 1,
+                                max_size=n - 1, unique=True))
+    lc_p = draw(st.sampled_from([F(1), F(-1), F(3, 2), F(-1, 3)]))
+    lc_q = draw(st.sampled_from([F(1), F(-1), F(2), F(-5, 4)]))
+    return roots_p, roots_q, lc_p, lc_q
+
+
+def _product(lc, roots):
+    acc = Poly([lc])
+    for r in roots:
+        acc = acc * Poly([-r, 1])
+    return acc
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(linear_factor_pairs())
+@example(([0], [], F(1), F(1)))                  # deg q = 0, index +1
+@example(([0], [], F(1), F(-1)))                 # deg q = 0, index -1
+@example(([-2, 0, 2], [-1, 1], F(1), F(-1)))     # index -3
+@example(([-2, 0, 2], [-1, 1], F(-1), F(-1)))    # index +3
+@example(([-2, 0, 2], [0, 1], F(1), F(1)))       # shared root
+def test_linear_factor_products(case):
+    roots_p, roots_q, lc_p, lc_q = case
+    p, q = _product(lc_p, roots_p), _product(lc_q, roots_q)
+    merged = sorted([(r, "p") for r in roots_p] + [(r, "q") for r in roots_q])
+    truth = (not set(roots_p) & set(roots_q)
+             and [t for _, t in merged] == ["p", "q"] * (len(roots_p) - 1) + ["p"])
+    assert strict_interlace(p, q) == truth
+    assert isolation_interlace(p, q) == truth
+    if truth:
+        sign = 1 if lc_p * lc_q > 0 else -1
+        assert _cauchy_index(p, q) == sign * p.degree
