@@ -10,8 +10,7 @@ constructions and positivity certificates), `cli`.
 
 from .exactmath import (GaussianRational, I, Poly, RootInterval, RootSet,
                         format_rational, isolate_real_roots, parse_gaussian,
-                        parse_rational, poly_gcd, poly_gcd_lcm, poly_lcm,
-                        strict_interlace)
+                        parse_rational, poly_gcd, poly_lcm, strict_interlace)
 from .treecore import (PathSelection, TreeTruncation, build_from_spec,
                        decorated_path_tree, default_path, generate,
                        homogeneous_tree, path_from_ids, path_tree)

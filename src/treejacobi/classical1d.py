@@ -56,20 +56,20 @@ def classical(lam, beta, depth_cap: int) -> ClassicalJacobi:
     return ClassicalJacobi(lam_r, beta_r, depth_cap)
 
 
-def recurrence_values(j: ClassicalJacobi, x0, seed0, seed1, count: int) -> list:
-    """Values f_0 .. f_count of the solution of the three-term recursion at
-    the point x0, from f_0 = seed0, f_1 = seed1.  Works for Fraction and
-    GaussianRational points alike."""
+def recurrence_values(lam, beta, x0, seed0, seed1, count: int) -> list:
+    """Values f_0 .. f_count of the solution of the three-term recursion
+
+        x0 f_n = lam(n) f_{n+1} + beta(n) f_n + lam(n-1) f_{n-1}
+
+    from f_0 = seed0, f_1 = seed1; `lam` and `beta` are index rules.  The
+    one implementation of the recursion in the package: it works for
+    Fraction and GaussianRational points, diagonals and seeds alike."""
     if count < 0:
         raise ValueError("count must be >= 0")
-    out = [seed0]
-    if count >= 1:
-        out.append(seed1)
+    out = [seed0, seed1][:count + 1]
     for n in range(1, count):
-        lam_n = j.lam_at(n)
-        nxt = ((x0 - j.beta_at(n)) * out[n] - j.lam_at(n - 1) * out[n - 1]) \
-            * (Fraction(1) / lam_n)
-        out.append(nxt)
+        out.append(((x0 - beta(n)) * out[n] - lam(n - 1) * out[n - 1])
+                   / lam(n))
     return out
 
 
@@ -78,17 +78,11 @@ def pq_values(j: ClassicalJacobi, x0: Fraction, count: int
     """Exact first-kind values p_0..p_count and second-kind q_0..q_count
     at the rational point x0."""
     x0 = Fraction(x0)
-    p = [Fraction(1)]
-    q = [Fraction(0)]
-    if count >= 1:
-        p.append((x0 - j.beta_at(0)) / j.lam_at(0))
-        q.append(Fraction(1) / j.lam_at(0))
-    for n in range(1, count):
-        lam_n = j.lam_at(n)
-        b_n = j.beta_at(n)
-        lam_p = j.lam_at(n - 1)
-        p.append(((x0 - b_n) * p[n] - lam_p * p[n - 1]) / lam_n)
-        q.append(((x0 - b_n) * q[n] - lam_p * q[n - 1]) / lam_n)
+    lam0 = j.lam_at(0)
+    p = recurrence_values(j.lam_at, j.beta_at, x0, Fraction(1),
+                          (x0 - j.beta_at(0)) / lam0, count)
+    q = recurrence_values(j.lam_at, j.beta_at, x0, Fraction(0),
+                          Fraction(1) / lam0, count)
     return p, q
 
 
@@ -139,10 +133,8 @@ def even_reduction_residuals(j: ClassicalJacobi, seed0, seed1,
     + lambda_{n-1} x_{n-1}, the geometric family collapses the even
     subsequence to 0 = lambda_{2m} x_{2m+2} + lambda_{2m-2} x_{2m-2};
     returns those residuals (all zero exactly for family coefficients)."""
-    xs = [Fraction(seed0), Fraction(seed1)]
-    for n in range(1, count):
-        xs.append((j.beta_at(n) * xs[n] - j.lam_at(n - 1) * xs[n - 1])
-                  / j.lam_at(n))
+    xs = recurrence_values(j.lam_at, lambda n: -j.beta_at(n), Fraction(0),
+                           Fraction(seed0), Fraction(seed1), count)
     out = []
     for m in range(1, (count - 2) // 2 + 1):
         out.append(j.lam_at(2 * m) * xs[2 * m + 2]

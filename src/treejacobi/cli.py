@@ -8,6 +8,7 @@ some check fails, 2 on usage or input-parsing errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import random
 import sys
 from fractions import Fraction
@@ -31,7 +32,10 @@ def _load_tree(path: str) -> TreeTruncation:
 def _parse_depths(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        depths = list(range(int(lo), int(hi) + 1))
+        if not depths:
+            raise ValueError(f"empty depth range {text!r}")
+        return depths
     return [int(text)]
 
 
@@ -193,6 +197,8 @@ def _cmd_growth(args, argv) -> int:
 
 
 def _cmd_classical(args, argv) -> int:
+    if args.depth < 0:
+        raise ValueError(f"--depth must be >= 0, got {args.depth}")
     failures = []
     if args.rule == "geometric":
         fam = classical1d.geometric_family(
@@ -308,6 +314,16 @@ def _suite_items(tree: TreeTruncation, seed: int, z: GaussianRational):
             Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
             Fraction(rng.choice([1, -1]) * rng.randint(1, 6), rng.randint(1, 4))))
 
+    # each spectral parameter is solved once; errors still surface in the
+    # first item that needs the solve
+    @functools.cache
+    def path():
+        return default_path(tree)
+
+    @functools.cache
+    def pair_at(w):
+        return solutions.solve_pair(tree, path(), w)
+
     def degree_law():
         return treepoly.degree_law_report(fam).ok, {}
 
@@ -335,27 +351,25 @@ def _suite_items(tree: TreeTruncation, seed: int, z: GaussianRational):
         return all(d == 1 for d in dims), {"dimensions": dims}
 
     def wronskian_item():
-        path = default_path(tree)
+        xs = path()
         ok = True
         for w in zs:
-            pair = solutions.solve_pair(tree, path, w)
-            for n in range(len(path) - 1):
-                expected = GaussianRational(Fraction(1) / tree.lam[path[n]],
+            pair = pair_at(w)
+            for n in range(len(xs) - 1):
+                expected = GaussianRational(Fraction(1) / tree.lam[xs[n]],
                                             Fraction(0))
                 ok = ok and solutions.wronskian(pair.v, pair.u, n) == expected
         return ok, {}
 
     def conjugation():
-        path = default_path(tree)
-        a = solutions.solve_pair(tree, path, zs[-1])
-        b = solutions.solve_pair(tree, path, zs[-1].conjugate())
+        a = pair_at(zs[-1])
+        b = pair_at(zs[-1].conjugate())
         ok = all(a.v.values[v].conjugate() == b.v.values[v]
                  for v in a.v.values)
         return ok, {}
 
     def nonvanishing():
-        path = default_path(tree)
-        pair = solutions.solve_pair(tree, path, z)
+        pair = pair_at(z)
         return pair.v.nonvanishing() and pair.v.verify() and pair.u.verify(), {}
 
     def negative_count():
@@ -372,7 +386,7 @@ def _suite_items(tree: TreeTruncation, seed: int, z: GaussianRational):
              ("negative_count_consistency", negative_count)]
     if all(tree.beta[v] == 0 for v in range(tree.size)):
         def rotated():
-            rep = solutions.rotated_positivity_report(tree, default_path(tree))
+            rep = solutions.rotated_positivity_report(tree, path())
             return rep.ok, {"failures": rep.vertex_failures}
         items.append(("rotated_positivity", rotated))
     return items

@@ -31,9 +31,10 @@ from .classical1d import (ClassicalJacobi, classical,
                           positivity_sign_vector, pq_square_sum,
                           recurrence_values)
 from .errors import ConstructionError, PositivityError, SolveError
-from .exactmath import GaussianRational, I
-from .solutions import (PropagationResult, SolutionField, SolutionPair,
-                        propagate_real, solve_pair)
+from .exactmath import GaussianRational, I, format_rational
+from .solutions import (GrowthProfile, GrowthRow, PropagationResult,
+                        SolutionField, SolutionPair, propagate_real,
+                        solve_pair, uniqueness_dimension)
 from .spectra import tree_inertia, tree_solve, eigenvalues_outside
 from .treecore import (PathSelection, TreeTruncation, decorated_path_tree,
                        default_path, homogeneous_tree)
@@ -51,7 +52,6 @@ class PositivityCertificate:
     mode: str  # "inequality" | "equality"
 
     def as_strings(self) -> dict[str, str]:
-        from .exactmath import format_rational
         return {self.tree.ids[v]: format_rational(x) for v, x in self.m.items()}
 
 
@@ -324,7 +324,10 @@ def build_small_norm_pair(depth: int, budget=default_budget) -> SmallNormResult:
         values[cur] = r_val / lam_prev
         # fresh side chain s_n (level n-1) ... s_n.<n-1> (level 0)
         chain = [f"s{n}"] + [f"s{n}.{j}" for j in range(1, n)]
-        free = _free_chain_values(n, z)  # classical values, unit weights
+        # classical values at z with unit weights and zero diagonal,
+        # bottom of the side chain first
+        free = recurrence_values(lambda k: 1, lambda k: 0, z,
+                                 GaussianRational.of(1), z, n - 1)
         head = z * free[-1]
         if n >= 2:
             head = head - free[-2]
@@ -364,17 +367,6 @@ def build_small_norm_pair(depth: int, budget=default_budget) -> SmallNormResult:
     if not all(row.ok for row in ledger):
         raise ConstructionError("norm ledger bound violated")
     return SmallNormResult(tree, fld, default_path(tree), ledger)
-
-
-def _free_chain_values(n: int, z: GaussianRational) -> list[GaussianRational]:
-    """Values f_0..f_{n-1} of the unit-weight diagonal-free recursion at z,
-    bottom of the side chain first."""
-    out = [GaussianRational(Fraction(1), Fraction(0))]
-    if n >= 2:
-        out.append(z)
-    for k in range(2, n):
-        out.append(z * out[-1] - out[-2])
-    return out
 
 
 # ---------------------------------------------------------------------
@@ -531,9 +523,8 @@ def build_pendant_path(depth: int, rule: str = "ramp", a=Fraction(3, 4),
         # the pendant's own equation (pendants are cut; assert it directly)
         res = I * v[y] - tree.lam[y] * v[xs[n]] - tree.beta[y] * v[y]
         norm_ok = norm_ok and not res
-    flipped = classical(lam_rule, lambda n: -beta_rule(n) if n >= 1
-                        else Fraction(0), depth + 1)
-    ref = recurrence_values(flipped, two_i, v[xs[0]], v[xs[1]], depth)
+    ref = recurrence_values(lam_rule, lambda n: -beta_rule(n), two_i,
+                            v[xs[0]], v[xs[1]], depth)
     classical_match = all(ref[n] == v[xs[n]] for n in range(depth + 1))
     return PendantPathResult(tree, pair, residuals, norm_ok, classical_match)
 
@@ -650,7 +641,7 @@ def _kill_beta(block: _Block) -> tuple[Fraction, int]:
         if sub.below != 0 or sub.at != 0:
             raise ConstructionError(
                 "side block below the kill vertex is not positive definite")
-    dim = _real_interior_dimension(t)
+    dim = uniqueness_dimension(t, t.top, Fraction(0))
     if dim != 1:
         raise ConstructionError(
             f"interior solution space at 0 has dimension {dim}, expected 1")
@@ -665,22 +656,10 @@ def _kill_beta(block: _Block) -> tuple[Fraction, int]:
     return -child_sum / root_val, dim
 
 
-def _real_interior_dimension(t: TreeTruncation) -> int:
-    """Solution-space dimension of the interior equations at z = 0 over the
-    rationals (the real analog of the nonreal uniqueness dimension)."""
-    from .solutions import _eliminate, _equation_row
-    order = t.descendants(t.top)
-    pos = {v: i for i, v in enumerate(order)}
-    rows = [_equation_row(t, w, pos, Fraction(0), Fraction(0))
-            for w in order if w != t.top and w not in t.cut]
-    return len(order) - _eliminate(rows, len(order))
-
-
-def small_norm_profile(depths) -> "GrowthProfile":
+def small_norm_profile(depths) -> GrowthProfile:
     """Norm profile of the norm-capped construction, measured on its own
     solution (stage norms of one deterministic build; stages are prefixes
     of deeper builds, so one build at the maximum depth covers all rows)."""
-    from .solutions import GrowthProfile, GrowthRow
     depths = list(depths)
     if not depths or min(depths) < 1:
         raise ValueError("profile depths must be positive")
@@ -695,11 +674,7 @@ def small_norm_profile(depths) -> "GrowthProfile":
                         for k in range(d + 1)), Fraction(0))
         rows.append(GrowthRow(d, len(tree.descendants(stage_top)),
                               by_stage[d], carleman))
-    increasing = all(a.norm2 < b.norm2 for a, b in zip(rows, rows[1:]))
-    bounded = all(row.norm2 <= 1 for row in rows)
-    carleman_up = all(a.carleman_sum < b.carleman_sum
-                      for a, b in zip(rows, rows[1:]))
-    return GrowthProfile(rows, increasing, bounded, carleman_up)
+    return GrowthProfile.from_rows(rows)
 
 
 # ---------------------------------------------------------------------

@@ -29,8 +29,6 @@ from typing import Iterable, Sequence
 
 from .errors import DivisionError, ParseError
 
-Rational = Fraction
-
 _RATIONAL_RE = re.compile(r"^[+-]?\d+(?:/\d+)?$")
 _GAUSSIAN_RE = re.compile(
     r"^(?P<re>[+-]?\d+(?:/\d+)?)?(?:(?P<im>[+-]?\d+(?:/\d+)?)i)?$"
@@ -141,9 +139,6 @@ class GaussianRational:
         """|w|^2 as an exact nonnegative rational."""
         return self.re * self.re + self.im * self.im
 
-    def is_real(self) -> bool:
-        return self.im == 0
-
     def __str__(self) -> str:
         sign = "+" if self.im >= 0 else "-"
         return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}i"
@@ -165,17 +160,6 @@ class Poly:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    # -- constructors -------------------------------------------------
-
-    @staticmethod
-    def constant(c) -> "Poly":
-        return Poly([Fraction(c)])
-
-    @staticmethod
-    def linear(a, b) -> "Poly":
-        """The polynomial a + b*z."""
-        return Poly([Fraction(a), Fraction(b)])
 
     # -- structure ----------------------------------------------------
 
@@ -380,11 +364,6 @@ def poly_lcm(a: Poly, b: Poly) -> Poly:
     """Monic least common multiple, satisfying gcd*lcm = monic(a*b)."""
     g = poly_gcd(a, b)
     return (a.monic() * b.monic()).exact_div(g)
-
-
-def poly_gcd_lcm(a: Poly, b: Poly) -> tuple[Poly, Poly]:
-    g = poly_gcd(a, b)
-    return g, (a.monic() * b.monic()).exact_div(g)
 
 
 def poly_lcm_many(polys: Sequence[Poly]) -> Poly:

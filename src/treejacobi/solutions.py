@@ -7,11 +7,14 @@ The eigen-equation at an interior vertex v (all neighbors present) reads
 with no child sum at level 0.  For nonreal z the solution below a vertex
 is unique up to scale and never vanishes; its values on a side subtree
 hanging off a distinguished path are proportional to the polynomial
-family of that subtree evaluated at z.  This module constructs the
-normalized solution/associated-solution pair along a path, measures
-norm growth, decides solution-space dimensions by exact elimination, and
-attempts the same propagation at real spectral values, where it can hit
-a genuine obstruction.
+family of that subtree evaluated at z.  Folding each side subtree into an
+effective diagonal (`SideReduction`) turns the path values into a
+classical three-term recursion, which `classical1d.recurrence_values`
+computes.  This module constructs the normalized
+solution/associated-solution pair along a path, measures norm growth,
+decides solution-space dimensions by exact elimination, and attempts the
+same propagation at real spectral values, where it can hit a genuine
+obstruction.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable
 
+from .classical1d import recurrence_values
 from .errors import ValidationError
 from .exactmath import GaussianRational, I
 from .treecore import PathSelection, TreeTruncation, default_path
@@ -83,9 +87,6 @@ class SolutionPair:
     path: PathSelection
     side: tuple[SideReduction, ...]
 
-    def __iter__(self):
-        return iter((self.v, self.u))
-
 
 def _side_relative_values(tree: TreeTruncation, y: int, z,
                           ratio_cache: dict | None = None
@@ -135,33 +136,33 @@ def solve_pair(tree: TreeTruncation, path: PathSelection,
         raise ValidationError("path must start at a level-0 vertex")
     if not path.reaches_top():
         raise ValidationError("path must reach the top of the truncation")
-    vv: dict[int, GaussianRational] = {path[0]: _ONE}
-    uu: dict[int, GaussianRational] = {path[0]: _ZERO}
-    side_rows: list[SideReduction] = []
     ratio_cache: dict = {}
-    if len(path) > 1:
-        lam0 = tree.lam[path[0]]
-        vv[path[1]] = (z - tree.beta[path[0]]) / lam0
-        uu[path[1]] = _gr(Fraction(1) / lam0)
+    side_rows: list[SideReduction] = []
+    side_values: list[list[dict[int, GaussianRational]]] = [[]]
+    diag = [tree.beta[path[0]]]
     for k in range(1, len(path)):
         xk = path[k]
-        below = path[k - 1]
-        side_sum = _ZERO
-        for y in tree.children[xk]:
-            if y == below:
-                continue
-            rel = _side_relative_values(tree, y, z, ratio_cache)
-            side_sum = side_sum + tree.lam[y] * rel[y]
-            for w, rw in rel.items():
-                vv[w] = vv[xk] * rw
-                uu[w] = uu[xk] * rw
+        sides = [y for y in tree.children[xk] if y != path[k - 1]]
+        rels = [_side_relative_values(tree, y, z, ratio_cache) for y in sides]
+        side_sum = sum((tree.lam[y] * rel[y] for y, rel in zip(sides, rels)),
+                       _ZERO)
         side_rows.append(SideReduction(tree.ids[xk], side_sum))
-        if k + 1 < len(path):
-            lam_k = tree.lam[xk]
-            head_v = (z - tree.beta[xk]) * vv[xk] - side_sum * vv[xk]
-            head_u = (z - tree.beta[xk]) * uu[xk] - side_sum * uu[xk]
-            vv[path[k + 1]] = (head_v - tree.lam[below] * vv[below]) / lam_k
-            uu[path[k + 1]] = (head_u - tree.lam[below] * uu[below]) / lam_k
+        side_values.append(rels)
+        diag.append(tree.beta[xk] + side_sum)
+    lam = [tree.lam[w] for w in path.vertices]
+    v_path = recurrence_values(lam.__getitem__, diag.__getitem__, z, _ONE,
+                               (z - diag[0]) / lam[0], len(path) - 1)
+    u_path = recurrence_values(lam.__getitem__, diag.__getitem__, z, _ZERO,
+                               _gr(Fraction(1) / lam[0]), len(path) - 1)
+    vv: dict[int, GaussianRational] = {}
+    uu: dict[int, GaussianRational] = {}
+    for xk, fv, fu, rels in zip(path.vertices, v_path, u_path, side_values):
+        vv[xk], uu[xk] = fv, fu
+        for rel in rels:
+            for w, rw in rel.items():
+                vv[w] = fv * rw
+                uu[w] = fu * rw
+        rels.clear()  # keeps the ratios from all living beside vv and uu
     interior = frozenset(tree.interior())
     v_field = SolutionField(tree, z, vv, interior, path)
     u_field = SolutionField(tree, z, uu, interior - {path[0]}, path)
@@ -185,11 +186,17 @@ def wronskian(v: SolutionField, u: SolutionField, n: int) -> GaussianRational:
 # ---------------------------------------------------------------------
 
 
-def _eliminate(rows: list[list], ncols: int) -> int:
-    """Rank of an exact matrix over Fraction or GaussianRational."""
-    rank = 0
-    work = [r[:] for r in rows]
+def _echelon(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
+    """Forward elimination of an exact matrix over Fraction or
+    GaussianRational, pivoting in the first `ncols` columns only (a
+    trailing right-hand-side column rides along).  Returns the row
+    echelon form and its pivot columns; the rank is the number of pivots,
+    and rows past the last pivot row are zero in the first `ncols`
+    columns."""
+    work = list(rows)
+    pivots: list[int] = []
     for col in range(ncols):
+        rank = len(pivots)
         piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
         if piv is None:
             continue
@@ -199,40 +206,25 @@ def _eliminate(rows: list[list], ncols: int) -> int:
             if work[i][col]:
                 f = work[i][col] / head
                 work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
-
-
-def _solve_affine(rows: list[list], rhs: list, ncols: int, zero):
-    """Particular solution of rows*x = rhs (free variables set to zero),
-    or None when the system is inconsistent."""
-    aug = [list(r) + [b] for r, b in zip(rows, rhs)]
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if piv is None:
-            continue
-        aug[r], aug[piv] = aug[piv], aug[r]
-        head = aug[r][col]
-        aug[r] = [a / head for a in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
         pivots.append(col)
-        r += 1
-        if r == len(aug):
+        if len(pivots) == len(work):
             break
-    for i in range(r, len(aug)):
-        if aug[i][ncols]:
-            return None
-    x = [zero] * ncols
-    for i, col in enumerate(pivots):
-        x[col] = aug[i][ncols]
-    return x
+    return work, pivots
+
+
+def _particular_solution(echelon: list[list], pivots: list[int], ncols: int,
+                         zero) -> list | None:
+    """For an `_echelon` form whose right-hand side is column `ncols`: the
+    solution with every free variable zero, or None when the system is
+    inconsistent."""
+    if any(row[ncols] for row in echelon[len(pivots):]):
+        return None
+    sol = [zero] * ncols
+    for row, col in reversed(list(zip(echelon, pivots))):
+        tail = sum((row[j] * sol[j] for j in range(col + 1, ncols) if row[j]),
+                   zero)
+        sol[col] = (row[ncols] - tail) / row[col]
+    return sol
 
 
 def _equation_row(tree: TreeTruncation, w: int, pos: dict[int, int], z,
@@ -246,17 +238,18 @@ def _equation_row(tree: TreeTruncation, w: int, pos: dict[int, int], z,
     return row
 
 
-def uniqueness_dimension(tree: TreeTruncation, x: int,
-                         z: GaussianRational) -> int:
+def uniqueness_dimension(tree: TreeTruncation, x: int, z) -> int:
     """Dimension of the space of fields on the subtree below x satisfying
     the eigen-equation at every vertex except x itself (cut vertices carry
-    no equation).  Equals 1 for every nonreal z."""
-    z = _gr(z)
+    no equation).  Equals 1 for every nonreal z.  A GaussianRational z is
+    eliminated over the Gaussian rationals, a real (Fraction) z over the
+    rationals."""
+    zero = _ZERO if isinstance(z, GaussianRational) else Fraction(0)
     order = tree.descendants(x)
     pos = {v: i for i, v in enumerate(order)}
-    rows = [_equation_row(tree, w, pos, z, _ZERO)
+    rows = [_equation_row(tree, w, pos, z, zero)
             for w in order if w != x and w not in tree.cut]
-    return len(order) - _eliminate(rows, len(order))
+    return len(order) - len(_echelon(rows, len(order))[1])
 
 
 # ---------------------------------------------------------------------
@@ -349,51 +342,58 @@ def propagate_real(tree: TreeTruncation, x: int, r: Fraction) -> PropagationResu
     reported obstruction is a proof, not a heuristic."""
     r = Fraction(r)
     path = default_path(tree, top=x)
-    f: dict[int, Fraction] = {path[0]: Fraction(1)}
-    free: list[str] = []
-    blocked: int | None = None
-    if len(path) > 1:
-        f[path[1]] = (r - tree.beta[path[0]]) / tree.lam[path[0]]
+    # side subtrees whose up-polynomial is nonzero at r fold into the path
+    # diagonal; the others can only carry the zero multiple
+    sides: list[list] = [[]]
+    diag = [tree.beta[path[0]]]
     for k in range(1, len(path)):
-        xk = path[k]
-        below = path[k - 1]
-        side_sum = Fraction(0)
-        for y in tree.children[xk]:
-            if y == below:
+        row, shift = [], Fraction(0)
+        for y in tree.children[path[k]]:
+            if y == path[k - 1]:
                 continue
             fam = family(tree, y)
             den = fam.up_poly[y](r)
+            if den:
+                shift += tree.lam[y] * fam.self_poly[y](r) / den
+            row.append((y, fam, den))
+        sides.append(row)
+        diag.append(tree.beta[path[k]] + shift)
+    lam = [tree.lam[w] for w in path.vertices]
+    walk = recurrence_values(lam.__getitem__, diag.__getitem__, r,
+                             Fraction(1), (r - diag[0]) / lam[0], len(path) - 1)
+    f: dict[int, Fraction] = {}
+    free: list[str] = []
+    blocked: int | None = None
+    for xk, fk, row in zip(path.vertices, walk, sides):
+        f[xk] = fk
+        for y, fam, den in row:
             if den == 0:
-                if f[xk] != 0:
+                if fk != 0:
                     blocked = y
                     break
                 free.append(tree.ids[y])
                 for w in tree.descendants(y):
                     f[w] = Fraction(0)
                 continue
-            scale = f[xk] / den
+            scale = fk / den
             for w in tree.descendants(y):
                 f[w] = scale * fam.entry(y, w)(r)
-            side_sum += tree.lam[y] * f[y]
         if blocked is not None:
             break
-        if k + 1 < len(path):
-            f[path[k + 1]] = ((r - tree.beta[xk]) * f[xk]
-                              - tree.lam[below] * f[below]
-                              - side_sum) / tree.lam[xk]
     if blocked is None:
         return PropagationResult(_real_field(tree, x, r, f), None, None,
                                  tuple(free))
-    # decide feasibility exactly on the full system
+    # decide feasibility exactly on the full system, right-hand side last
     order = tree.descendants(x)
+    n = len(order)
     pos = {v: i for i, v in enumerate(order)}
-    rows = [_equation_row(tree, w, pos, r, Fraction(0))
+    rows = [_equation_row(tree, w, pos, r, Fraction(0)) + [Fraction(0)]
             for w in order if w != x and w not in tree.cut]
-    norm_row = [Fraction(0)] * len(order)
-    norm_row[pos[path[0]]] = Fraction(1)
+    norm_row = [Fraction(0)] * (n + 1)
+    norm_row[pos[path[0]]] = norm_row[n] = Fraction(1)
     rows.append(norm_row)
-    rhs = [Fraction(0)] * (len(rows) - 1) + [Fraction(1)]
-    sol = _solve_affine(rows, rhs, len(order), Fraction(0))
+    echelon, pivots = _echelon(rows, n)
+    sol = _particular_solution(echelon, pivots, n, Fraction(0))
     if sol is None:
         return PropagationResult(None, blocked, tree.ids[blocked], tuple(free))
     values = {v: sol[pos[v]] for v in order}
@@ -441,6 +441,15 @@ class GrowthProfile:
     indicator = ("finite-depth indicator; infinite-tree conclusions are "
                  "not decided by truncations")
 
+    @classmethod
+    def from_rows(cls, rows: list[GrowthRow]) -> "GrowthProfile":
+        """Summarize rows given in increasing depth."""
+        steps = list(zip(rows, rows[1:]))
+        return cls(rows,
+                   all(a.norm2 < b.norm2 for a, b in steps),
+                   all(row.norm2 <= 1 for row in rows),
+                   all(a.carleman_sum < b.carleman_sum for a, b in steps))
+
 
 def growth_profile(make_tree: Callable[[int], TreeTruncation],
                    z: GaussianRational,
@@ -455,8 +464,4 @@ def growth_profile(make_tree: Callable[[int], TreeTruncation],
         carleman = sum((Fraction(1) / tree.lam[v] for v in path.vertices),
                        Fraction(0))
         rows.append(GrowthRow(depth, tree.size, pair.v.norm2(), carleman))
-    increasing = all(a.norm2 < b.norm2 for a, b in zip(rows, rows[1:]))
-    bounded = all(row.norm2 <= 1 for row in rows)
-    carleman_up = all(a.carleman_sum < b.carleman_sum
-                      for a, b in zip(rows, rows[1:]))
-    return GrowthProfile(rows, increasing, bounded, carleman_up)
+    return GrowthProfile.from_rows(rows)

@@ -67,9 +67,6 @@ class TreeTruncation:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {name!r}") from None
 
-    def is_leaf(self, v: int) -> bool:
-        return not self.children[v]
-
     def is_cut(self, v: int) -> bool:
         return v in self.cut
 
@@ -148,15 +145,8 @@ class TreeTruncation:
                 raise ValidationError(
                     f"vertex {name!r} is a childless level-{self.level[v]} vertex "
                     f"without a cut flag")
-        # connectivity: every vertex must reach top through parent links
-        for v in range(n):
-            seen = set()
-            w = v
-            while w != self.top:
-                if w in seen:
-                    raise ValidationError(f"cycle through vertex {self.ids[v]!r}")
-                seen.add(w)
-                w = self.parent[w]
+        # no cycle check is needed: levels rise strictly along parent links,
+        # so every walk upward ends at the one parentless vertex, the top
 
     # -- serialization ------------------------------------------------
 
@@ -206,9 +196,12 @@ def build_from_spec(doc) -> TreeTruncation:
         ids.append(str(row["id"]))
         parent_ids.append(row.get("parent"))
         try:
-            level.append(int(row["level"]))
-            beta.append(parse_rational(str(row["beta"])))
-            lam.append(parse_rational(str(row["lambda"])) if "parent" in row
+            if type(row["level"]) is not int:
+                raise ValueError(f"level must be an integer, not "
+                                 f"{row['level']!r}")
+            level.append(row["level"])
+            beta.append(parse_rational(row["beta"]))
+            lam.append(parse_rational(row["lambda"]) if "parent" in row
                        else top_lambda)
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad vertex row {row.get('id')!r}: {exc}") from None

@@ -121,7 +121,8 @@ def test_zero_point_values_are_weight_ratio_products():
 def test_recurrence_values_complex_point():
     j = classical(lambda n: F(n + 1), F(0), 30)
     z = GaussianRational(F(0), F(2))
-    vals = recurrence_values(j, z, GaussianRational(F(1), F(0)),
+    vals = recurrence_values(j.lam_at, j.beta_at, z,
+                             GaussianRational(F(1), F(0)),
                              GaussianRational(F(0), F(1)), 10)
     for n in range(1, 10):
         lhs = (z - j.beta_at(n)) * vals[n]

@@ -189,6 +189,12 @@ def test_usage_error_exit_code(capsys, tmp_path):
 
 BAD_BETA = STAR.replace('"beta": "0/1"}],', '"beta": "1/0"}],')
 NUMERIC_TOP_LAMBDA = STAR.replace('"top_lambda": "1/1"', '"top_lambda": 1')
+NUMERIC_BETA = STAR.replace('"beta": "0/1"}],', '"beta": 1}],')
+NUMERIC_LAMBDA = STAR.replace('"lambda": "1/1", "beta": "0/1"},\n  {"id": "b"',
+                              '"lambda": 2, "beta": "0/1"},\n  {"id": "b"')
+STRING_LEVEL = STAR.replace('"level": 0, "lambda": "1/1", "beta": "0/1"},\n  {"id": "b"',
+                            '"level": "0", "lambda": "1/1", "beta": "0/1"},\n  {"id": "b"')
+BOOL_LEVEL = STAR.replace('"level": 1, "beta"', '"level": true, "beta"')
 
 
 @pytest.mark.parametrize("doc, args", [
@@ -199,17 +205,28 @@ NUMERIC_TOP_LAMBDA = STAR.replace('"top_lambda": "1/1"', '"top_lambda": 1')
     (STAR, ["poly", "--target", "nope"]),
     (STAR, ["spectrum", "--width", "0/1"]),
     (STAR, ["spectrum", "--width=-1/2"]),
+    (NUMERIC_BETA, ["verify-all"]),
+    (NUMERIC_LAMBDA, ["verify-all"]),
+    (STRING_LEVEL, ["verify-all"]),
+    (BOOL_LEVEL, ["verify-all"]),
+    (None, ["growth", "--generator", "homogeneous:2", "--depths", "5..3"]),
+    (None, ["classical", "--rule", "geometric", "--depth", "-1"]),
 ], ids=["beta-1/0", "numeric-top_lambda", "z-1/0", "unknown-at",
-        "unknown-target", "width-0", "width-negative"])
+        "unknown-target", "width-0", "width-negative", "numeric-beta",
+        "numeric-lambda", "string-level", "bool-level", "empty-depths",
+        "negative-classical-depth"])
 def test_bad_input_exits_2_with_one_line(tmp_path, doc, args):
     tree = tmp_path / "tree.json"
-    tree.write_text(doc)
+    tree_args = []
+    if doc is not None:
+        tree.write_text(doc)
+        tree_args = ["--tree", str(tree)]
     # a subprocess, so a traceback or a hang shows instead of raising here
     src = str(Path(treejacobi.__file__).resolve().parent.parent)
     env = {**os.environ, "PYTHONPATH": src}
     proc = subprocess.run(
-        [sys.executable, "-m", "treejacobi", args[0], "--tree", str(tree),
-         *args[1:]], capture_output=True, text=True, env=env, timeout=30)
+        [sys.executable, "-m", "treejacobi", args[0], *tree_args, *args[1:]],
+        capture_output=True, text=True, env=env, timeout=30)
     assert proc.returncode == 2
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1

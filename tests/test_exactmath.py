@@ -9,8 +9,8 @@ from treejacobi.exactmath import (GaussianRational, I, ONE, Poly, X,
                                   format_rational, has_only_real_simple_roots,
                                   isolate_real_roots, parse_gaussian,
                                   parse_poly, parse_rational, poly_gcd,
-                                  poly_gcd_lcm, poly_lcm,
-                                  square_free_decomposition, strict_interlace)
+                                  poly_lcm, square_free_decomposition,
+                                  strict_interlace)
 
 
 def rand_poly(rng, max_deg, nonzero=True):
@@ -32,13 +32,13 @@ def test_product_and_exact_division():
 
 
 def test_gcd_lcm_examples():
-    g, l = poly_gcd_lcm(X * X - ONE, X - ONE)
-    assert g == X - ONE and l == X * X - ONE
-    g, l = poly_gcd_lcm(X - ONE, X - ONE)
-    assert g == X - ONE and l == X - ONE
-    g, l = poly_gcd_lcm(X, X - 2 * ONE)
-    assert g == ONE
-    assert l == X * (X - 2 * ONE)  # verified by multiplying the factors
+    a, b = X * X - ONE, X - ONE
+    assert poly_gcd(a, b) == X - ONE and poly_lcm(a, b) == X * X - ONE
+    a, b = X - ONE, X - ONE
+    assert poly_gcd(a, b) == X - ONE and poly_lcm(a, b) == X - ONE
+    a, b = X, X - 2 * ONE
+    assert poly_gcd(a, b) == ONE
+    assert poly_lcm(a, b) == X * (X - 2 * ONE)
     with pytest.raises(ValueError):
         poly_gcd(Poly(), X)
 
@@ -48,7 +48,7 @@ def test_gcd_lcm_product_identity_random():
     for _ in range(1000):
         a = rand_poly(rng, 8)
         b = rand_poly(rng, 8)
-        g, l = poly_gcd_lcm(a, b)
+        g, l = poly_gcd(a, b), poly_lcm(a, b)
         assert g * l == (a * b).monic()
         assert (a % g).is_zero and (b % g).is_zero
         assert (l % a.monic()).is_zero and (l % b.monic()).is_zero

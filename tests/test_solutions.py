@@ -192,17 +192,17 @@ def test_propagate_real_free_side_choice():
 def _feasible_by_rank(tree, x, r):
     """Independent feasibility route: a normalized field exists iff the
     origin functional is not in the row span of the interior equations."""
-    from treejacobi.solutions import _eliminate, _equation_row
+    from treejacobi.solutions import _echelon, _equation_row
     from treejacobi.treecore import default_path as dp
     order = tree.descendants(x)
     pos = {v: i for i, v in enumerate(order)}
     rows = [_equation_row(tree, w, pos, F(r), F(0))
             for w in order if w != x and w not in tree.cut]
-    base = _eliminate(rows, len(order))
+    base = len(_echelon(rows, len(order))[1])
     origin = dp(tree, top=x)[0]
     extra = [F(0)] * len(order)
     extra[pos[origin]] = F(1)
-    return _eliminate(rows + [extra], len(order)) > base
+    return len(_echelon(rows + [extra], len(order))[1]) > base
 
 
 def test_propagate_real_matches_rank_criterion():

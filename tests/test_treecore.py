@@ -6,7 +6,7 @@ import pytest
 from conftest import exhaustive_corpus, leveled_shapes, all_shapes
 from treejacobi.errors import (ParseError, UnknownVertexError,
                                ValidationError)
-from treejacobi.treecore import (PathSelection,
+from treejacobi.treecore import (PathSelection, TreeTruncation,
                                  build_from_spec, decorated_path_tree,
                                  default_path, generate, homogeneous_tree,
                                  path_from_ids, path_tree)
@@ -97,6 +97,17 @@ def test_validation_errors():
                         '{"id": "a", "parent": "x", "level": 1, "lambda": "1/1", "beta": "0/1", "cut": true},'
                         '{"id": "x", "level": 1, "beta": "0/1"}],'
                         ' "top": "x", "top_lambda": "1/1"}')
+    # parent cycles: levels rise strictly along parent links, so a cycle
+    # always breaks the parent-level rule somewhere
+    with pytest.raises(ValidationError, match="'b': parent level"):
+        build_from_spec('{"vertices": ['
+                        '{"id": "a", "parent": "b", "level": 0, "lambda": "1/1", "beta": "0/1"},'
+                        '{"id": "b", "parent": "a", "level": 1, "lambda": "1/1", "beta": "0/1"},'
+                        '{"id": "x", "level": 0, "beta": "0/1"}],'
+                        ' "top": "x", "top_lambda": "1/1"}')
+    with pytest.raises(ValidationError, match="'a': parent level"):
+        TreeTruncation(["a", "b", "c", "x"], 3, [2, 0, 1, None], [0, 1, 2, 3],
+                       [F(1)] * 4, [F(0)] * 4)
     with pytest.raises(ParseError):
         build_from_spec("{not json")
     with pytest.raises(ParseError):
