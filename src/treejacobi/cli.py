@@ -85,18 +85,21 @@ def _cmd_spectrum(args, argv) -> int:
     fam = treepoly.family(tree, at)
     width = parse_rational(args.width) if args.width else Fraction(1, 2 ** 32)
     desc = spectra.spectral_description(fam, width)
+    char = spectra.char_poly(tree, at)
     results: dict = {
         "anchor": tree.ids[at],
-        "top_factor": fam.up_poly[at],
+        "top_factor": desc.top_factor,
         "top_roots": desc.top_roots,
         "shared_factors": [
             {"vertex": s.vertex, "factor": s.factor, "roots": s.roots}
             for s in desc.shared],
-        "char_poly": spectra.char_poly(tree, at),
+        "char_poly": char,
     }
     failures = []
     if args.verify:
-        ok = spectra.verify_spectral_identity(fam)
+        # the identity of verify_spectral_identity, on the factors and the
+        # char poly this report already holds
+        ok = char.monic() == desc.factor_product()
         results["identity"] = ok
         if not ok:
             failures.append("spectral factorization identity failed")
@@ -386,7 +389,7 @@ def _suite_items(tree: TreeTruncation, seed: int, z: GaussianRational):
              ("negative_count_consistency", negative_count)]
     if all(tree.beta[v] == 0 for v in range(tree.size)):
         def rotated():
-            rep = solutions.rotated_positivity_report(tree, path())
+            rep = solutions.rotated_positivity_report(pair_at(I))
             return rep.ok, {"failures": rep.vertex_failures}
         items.append(("rotated_positivity", rotated))
     return items

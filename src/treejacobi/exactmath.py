@@ -6,9 +6,12 @@ polynomial is a tuple of Fraction coefficients, lowest degree first, with
 no trailing zeros; the zero polynomial has an empty tuple.  Everything in
 this module is exact: there is no floating point anywhere.  Every
 decision is made from integer signed remainder sequences and rational
-comparisons: root counting evaluates a Sturm chain at rational points,
-and strict interlacing reads the Cauchy index off the leading
-coefficients of one remainder sequence, with no evaluation at all.
+comparisons, and every sign of a polynomial at a rational point n/d is
+taken in plain ints (homogeneous Horner, no Fraction arithmetic): root
+counting evaluates an integer Sturm chain at the interval ends, root
+refinement bisects by the sign of the square-free factor alone, and
+strict interlacing reads the Cauchy index off the leading coefficients
+of one remainder sequence, with no evaluation at all.
 
 Text formats:
 
@@ -395,17 +398,31 @@ def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
     return seq
 
 
+def _int_sturm_chain(p: Poly) -> list[list[int]]:
+    """The remainder sequence of (p, p') as integer lists; deg p >= 1."""
+    return _remainder_sequence(_integer_coeffs(p), _integer_coeffs(p.derivative()))
+
+
 def sturm_chain(p: Poly) -> list[Poly]:
     """A generalized Sturm chain for p: the remainder sequence of (p, p').
     Sign-variation counts are identical to the classical chain's."""
     if p.degree < 1:
         return [p]
-    seq = _remainder_sequence(_integer_coeffs(p), _integer_coeffs(p.derivative()))
-    return [Poly(c) for c in seq]
+    return [Poly(c) for c in _int_sturm_chain(p)]
 
 
-def _sign(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+def _sign_at(coeffs: list[int], x: Fraction) -> int:
+    """Sign of the integer polynomial `coeffs` (lowest degree first) at x.
+
+    With x = n/d and d > 0 this is the sign of d^deg * p(x), the sum of
+    c_i n^i d^(deg - i), which homogeneous Horner computes in plain ints."""
+    n, d = x.numerator, x.denominator
+    acc = 0
+    dk = 1
+    for c in reversed(coeffs):
+        acc = acc * n + c * dk
+        dk *= d
+    return (acc > 0) - (acc < 0)
 
 
 def _sign_changes(signs: Iterable[int]) -> int:
@@ -420,20 +437,27 @@ def _sign_changes(signs: Iterable[int]) -> int:
     return changes
 
 
-def _variations_at(chain: Sequence[Poly], x: Fraction) -> int:
-    return _sign_changes(_sign(q(x)) for q in chain)
+def _variations_at(chain: Sequence[list[int]], x: Fraction) -> int:
+    return _sign_changes(_sign_at(c, x) for c in chain)
 
 
-def _variations_at_inf(chain: Sequence[Poly], positive: bool) -> int:
-    if positive:
-        return _sign_changes(_sign(q.leading()) for q in chain if not q.is_zero)
-    return _sign_changes(
-        _sign(q.leading()) * (-1) ** q.degree for q in chain if not q.is_zero
-    )
+def _variations_at_inf(chain: Sequence[list[int]], positive: bool) -> int:
+    # the signs of the leading terms; no member of a chain is zero
+    return _sign_changes((1 if c[-1] > 0 else -1)
+                         * (1 if positive else (-1) ** (len(c) - 1))
+                         for c in chain)
 
 
-def count_real_roots(p: Poly, lo: Fraction | None = None, hi: Fraction | None = None,
-                     chain: Sequence[Poly] | None = None) -> int:
+def _chain_count(chain: Sequence[list[int]], lo: Fraction | None,
+                 hi: Fraction | None) -> int:
+    """Distinct roots of chain[0] in (lo, hi]; lo must not be a root."""
+    va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
+    vb = _variations_at(chain, hi) if hi is not None else _variations_at_inf(chain, True)
+    return va - vb
+
+
+def count_real_roots(p: Poly, lo: Fraction | None = None,
+                     hi: Fraction | None = None) -> int:
     """Number of distinct real roots of p in the half-open interval (lo, hi].
 
     `None` endpoints mean -/+ infinity.  The left endpoint must not be a
@@ -443,13 +467,10 @@ def count_real_roots(p: Poly, lo: Fraction | None = None, hi: Fraction | None = 
         raise ValueError("root counting needs a nonzero polynomial")
     if p.degree == 0:
         return 0
-    if chain is None:
-        chain = sturm_chain(p)
-    if lo is not None and p(lo) == 0:
+    chain = _int_sturm_chain(p)
+    if lo is not None and _sign_at(chain[0], lo) == 0:
         raise ValueError("left endpoint must not be a root")
-    va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
-    vb = _variations_at(chain, hi) if hi is not None else _variations_at_inf(chain, True)
-    return va - vb
+    return _chain_count(chain, lo, hi)
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -540,13 +561,14 @@ class RootSet:
         return [r.as_strings() for r in self.roots]
 
 
-def _isolate_square_free(g: Poly, chain: Sequence[Poly]) -> list[tuple[Fraction, Fraction]]:
+def _isolate_square_free(g: Poly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint half-open intervals (a, b], one distinct root of g in each."""
     if g.degree == 0:
         return []
+    chain = _int_sturm_chain(g)
     bound = cauchy_root_bound(g)
     out: list[tuple[Fraction, Fraction]] = []
-    total = count_real_roots(g, -bound, bound, chain=chain)
+    total = _chain_count(chain, -bound, bound)
     stack = [(-bound, bound, total)]
     while stack:
         a, b, cnt = stack.pop()
@@ -555,32 +577,39 @@ def _isolate_square_free(g: Poly, chain: Sequence[Poly]) -> list[tuple[Fraction,
         if cnt == 1:
             out.append((a, b))
             continue
-        m = _non_root_split(g, a, b)
-        left = count_real_roots(g, a, m, chain=chain)
+        m = _non_root_split(chain[0], a, b)
+        left = _chain_count(chain, a, m)
         stack.append((a, m, left))
         stack.append((m, b, cnt - left))
     out.sort()
     return out
 
 
-def _non_root_split(g: Poly, a: Fraction, b: Fraction) -> Fraction:
+def _non_root_split(g: list[int], a: Fraction, b: Fraction) -> Fraction:
     # midpoint, nudged toward a until it is not a root of g
     k = 2
     while True:
         m = a + (b - a) / k
-        if g(m) != 0:
+        if _sign_at(g, m) != 0:
             return m
         k += 1
 
 
-def _refine_interval(g: Poly, chain, a: Fraction, b: Fraction,
+def _refine_interval(g: list[int], a: Fraction, b: Fraction,
                      width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink (a, b] (holding one root of g) to width <= `width`."""
+    """Shrink (a, b] to width <= `width` by bisection on the sign of g.
+
+    g is the integer form of a square-free factor with exactly one root
+    in (a, b] and g(a) != 0, so that root lies in (a, m) exactly when g
+    changes sign between a and the midpoint m.  A midpoint that is the
+    root itself is returned as the exact interval (m, m)."""
+    sa = _sign_at(g, a)
     while b - a > width:
         m = a + (b - a) / 2
-        if g(m) == 0:
+        sm = _sign_at(g, m)
+        if sm == 0:
             return m, m
-        if count_real_roots(g, a, m, chain=chain) == 1:
+        if sm != sa:
             b = m
         else:
             a = m
@@ -601,35 +630,29 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootSet:
         # refinement would never reach a width <= 0 around an irrational root
         raise ValueError("root-interval width must be positive, got "
                          f"{format_rational(width)}")
-    factored = square_free_decomposition(p)
-    tagged: list[tuple[Fraction, Fraction, int, Poly, Sequence[Poly]]] = []
-    for g, mult in factored:
-        chain = sturm_chain(g)
-        for a, b in _isolate_square_free(g, chain):
-            tagged.append((a, b, mult, g, chain))
+    tagged: list[tuple[Fraction, Fraction, int, list[int]]] = []
+    for g, mult in square_free_decomposition(p):
+        gi = _integer_coeffs(g)
+        tagged += [(a, b, mult, gi) for a, b in _isolate_square_free(g)]
     # disjointness across factors (roots themselves are pairwise distinct)
     changed = True
     while changed:
         changed = False
         tagged.sort(key=lambda t: (t[0], t[1]))
         for i in range(len(tagged) - 1):
-            a1, b1, m1, g1, c1 = tagged[i]
-            a2, b2, m2, g2, c2 = tagged[i + 1]
+            a1, b1, m1, g1 = tagged[i]
+            a2, b2, m2, g2 = tagged[i + 1]
             if b1 > a2:  # overlap under the (lo, hi] reading
-                h1 = (b1 - a1) / 2 if a1 != b1 else Fraction(0)
-                h2 = (b2 - a2) / 2 if a2 != b2 else Fraction(0)
-                if h1 > 0:
-                    tagged[i] = (*_refine_interval(g1, c1, a1, b1, h1), m1, g1, c1)
-                if h2 > 0:
-                    tagged[i + 1] = (*_refine_interval(g2, c2, a2, b2, h2), m2, g2, c2)
+                if a1 != b1:
+                    tagged[i] = (*_refine_interval(g1, a1, b1, (b1 - a1) / 2), m1, g1)
+                if a2 != b2:
+                    tagged[i + 1] = (*_refine_interval(g2, a2, b2, (b2 - a2) / 2), m2, g2)
                 changed = True
     if width is not None:
-        tagged = [
-            (*_refine_interval(g, c, a, b, width), m, g, c)
-            for a, b, m, g, c in tagged
-        ]
+        tagged = [(*_refine_interval(g, a, b, width), m, g)
+                  for a, b, m, g in tagged]
         tagged.sort(key=lambda t: (t[0], t[1]))
-    return RootSet(tuple(RootInterval(a, b, m) for a, b, m, _, _ in tagged))
+    return RootSet(tuple(RootInterval(a, b, m) for a, b, m, _ in tagged))
 
 
 def has_only_real_simple_roots(p: Poly) -> bool:
@@ -651,8 +674,7 @@ def _cauchy_index(p: Poly, q: Poly) -> int:
     sequence of (p, q) (Basu-Pollack-Roy, Algorithms in Real Algebraic
     Geometry, Thm 2.58), so no point is ever evaluated.  p and q must be
     nonzero."""
-    seq = [Poly(c) for c in
-           _remainder_sequence(_integer_coeffs(p), _integer_coeffs(q))]
+    seq = _remainder_sequence(_integer_coeffs(p), _integer_coeffs(q))
     return _variations_at_inf(seq, False) - _variations_at_inf(seq, True)
 
 

@@ -269,18 +269,21 @@ class RotatedPositivityReport:
     step_rows: list[dict]
 
 
-def rotated_positivity_report(tree: TreeTruncation,
-                              path: PathSelection) -> RotatedPositivityReport:
+def rotated_positivity_report(pair: SolutionPair) -> RotatedPositivityReport:
     """For a matrix with zero diagonal, the solution at z = i rotated by
     i^(-level) is real and strictly positive, and along the path
 
         lam_{x_n} vt(x_{n+1}) - lam_{x_{n-1}} vt(x_{n-1})
             = vt(x_n) + sum_side lam_y vt(y) > 0.
 
-    All comparisons exact; raises ValueError when some beta is nonzero."""
+    `pair` is the solution pair at z = i along its path.  All comparisons
+    exact; raises ValueError when some beta is nonzero or pair.v.z != i."""
+    tree = pair.v.tree
     if any(tree.beta[v] != 0 for v in range(tree.size)):
         raise ValueError("rotated positivity needs an all-zero diagonal")
-    pair = solve_pair(tree, path, I)
+    if pair.v.z != I:
+        raise ValueError("rotated positivity needs the pair at z = i, "
+                         f"got {pair.v.z}")
     rotated: dict[int, GaussianRational] = {
         v: pair.v.values[v] * _IPOW[(-tree.level[v]) % 4]
         for v in pair.v.values}
@@ -288,7 +291,7 @@ def rotated_positivity_report(tree: TreeTruncation,
                 if w.im != 0 or w.re <= 0]
     steps = []
     ok = not failures
-    xs = path.vertices
+    xs = pair.path.vertices
     for n in range(1, len(xs) - 1):
         lhs = (tree.lam[xs[n]] * rotated[xs[n + 1]]
                - tree.lam[xs[n - 1]] * rotated[xs[n - 1]])

@@ -97,10 +97,25 @@ class SharedRootFactor:
     roots: RootSet
 
 
+def _factor_product(top: Poly, factors) -> Poly:
+    """monic(top) times the shared-root factors: by the spectral
+    factorization, the monic characteristic polynomial."""
+    acc = top.monic()
+    for f in factors:
+        acc = acc * f
+    return acc
+
+
 @dataclass(frozen=True)
 class SpectralDescription:
+    top_factor: Poly
     top_roots: RootSet
     shared: tuple[SharedRootFactor, ...]
+
+    def factor_product(self) -> Poly:
+        """The right-hand side of the spectral identity; the factors left
+        out of `shared` are 1 (monic over monic, nothing shared)."""
+        return _factor_product(self.top_factor, (s.factor for s in self.shared))
 
 
 def _shared_factor(fam: PolyFamily, v: int) -> Poly:
@@ -125,8 +140,9 @@ def spectral_description(fam: PolyFamily, width=None) -> SpectralDescription:
         if f.degree >= 1:
             shared.append(SharedRootFactor(
                 t.ids[v], f, isolate_real_roots(f, width)))
+    top = fam.up_poly[fam.anchor]
     return SpectralDescription(
-        top_roots=isolate_real_roots(fam.up_poly[fam.anchor], width),
+        top_factor=top, top_roots=isolate_real_roots(top, width),
         shared=tuple(shared))
 
 
@@ -136,12 +152,10 @@ def verify_spectral_identity(fam: PolyFamily) -> bool:
     factors.  DivisionError from the factor assembly would falsify the
     identity; plain inequality returns False."""
     t = fam.tree
-    rhs = fam.up_poly[fam.anchor].monic()
-    for v in fam.vertices():
-        if t.children[v]:
-            rhs = rhs * _shared_factor(fam, v)
-    lhs = char_poly(t, fam.anchor).monic()
-    return lhs == rhs
+    rhs = _factor_product(fam.up_poly[fam.anchor],
+                          (_shared_factor(fam, v) for v in fam.vertices()
+                           if t.children[v]))
+    return char_poly(t, fam.anchor).monic() == rhs
 
 
 def count_negative_eigenvalues(tree: TreeTruncation, at: int | None = None) -> int:

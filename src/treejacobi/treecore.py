@@ -207,7 +207,9 @@ def build_from_spec(doc) -> TreeTruncation:
             raise ParseError(f"bad vertex row {row.get('id')!r}: {exc}") from None
         cut.append(bool(row.get("cut", False)))
     index = {name: i for i, name in enumerate(ids)}
-    if top_id not in index:
+    # ids are strings; a reference of any other JSON type (a list or an
+    # object is not even hashable) names no vertex
+    if not isinstance(top_id, str) or top_id not in index:
         raise ValidationError(f"top vertex {top_id!r} not among the vertices")
     parent = []
     for name, p in zip(ids, parent_ids):
@@ -216,7 +218,7 @@ def build_from_spec(doc) -> TreeTruncation:
                 raise ValidationError(f"vertex {name!r} has no parent and is not top")
             parent.append(None)
         else:
-            if p not in index:
+            if not isinstance(p, str) or p not in index:
                 raise ValidationError(f"vertex {name!r} has unknown parent {p!r}")
             parent.append(index[p])
     return TreeTruncation(ids, index[top_id], parent, level, lam, beta,

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from treejacobi.treecore import TreeTruncation
+from treejacobi.treecore import TreeTruncation, homogeneous_tree
 
 # a shape is a tuple of child shapes, sorted; () is a leaf
 
@@ -88,6 +88,22 @@ def random_lambda(rng: random.Random) -> Fraction:
 def random_beta(rng: random.Random) -> Fraction:
     den = rng.randint(1, 4)
     return Fraction(rng.randint(-3 * den, 3 * den), den)
+
+
+def _random_homogeneous(d: int, depth: int, seed: int) -> TreeTruncation:
+    rng = random.Random(seed)
+    return homogeneous_tree(d, depth, lam=lambda lv, addr: random_lambda(rng),
+                            beta=lambda lv, addr: random_beta(rng))
+
+
+def h23() -> TreeTruncation:
+    """The binary tree of depth 3 (15 vertices) with seeded weights."""
+    return _random_homogeneous(2, 3, 5)
+
+
+def h24() -> TreeTruncation:
+    """The binary tree of depth 4 (31 vertices) with seeded weights."""
+    return _random_homogeneous(2, 4, 41)
 
 
 def random_leveled_tree(rng: random.Random, depth: int,

@@ -105,7 +105,7 @@ def test_criterion_06_rotated_positivity():
         tree = TreeTruncation(base.ids, base.top,
                               [base.parent[v] for v in range(base.size)],
                               base.level, base.lam, [F(0)] * base.size)
-        rep = rotated_positivity_report(tree, default_path(tree))
+        rep = rotated_positivity_report(solve_pair(tree, default_path(tree), I))
         ok = ok and rep.ok and all(row["ok"] for row in rep.step_rows)
     _line(6, "rotated solution positive with growing path steps", ok)
 

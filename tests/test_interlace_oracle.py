@@ -1,23 +1,21 @@
 """The Cauchy-index `strict_interlace` against the slow isolation oracle.
 
 `isolation_interlace` is the earlier decision procedure, kept here as
-the reference: isolate the roots of both polynomials, refine the
-intervals until no two overlap, and read off the merged order.
+the reference: isolate the roots of both polynomials with Sturm counts
+(`sturm_oracle`), refine the intervals until no two overlap, and read
+off the merged order.
 """
 
-import random
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import (exhaustive_corpus, random_beta, random_corpus,
-                      random_lambda)
+from conftest import exhaustive_corpus, h24, random_corpus
+from sturm_oracle import sturm_isolate
 from treejacobi.exactmath import (ONE, Poly, X, _cauchy_index,
-                                  _isolate_square_free, _refine_interval,
                                   cauchy_root_bound, has_only_real_simple_roots,
-                                  poly_gcd, strict_interlace, sturm_chain)
-from treejacobi.treecore import homogeneous_tree
+                                  poly_gcd, strict_interlace)
 from treejacobi.treepoly import family
 
 
@@ -32,27 +30,8 @@ def isolation_interlace(p: Poly, q: Poly) -> bool:
         return True
     if poly_gcd(p, q).degree > 0:
         return False
-    items = []
-    for tag, g in (("p", p), ("q", q)):
-        chain = sturm_chain(g)
-        items += [(a, b, tag, g, chain) for a, b in _isolate_square_free(g, chain)]
-    changed = True
-    while changed:
-        changed = False
-        items.sort(key=lambda t: (t[0], t[1]))
-        for i in range(len(items) - 1):
-            a1, b1, t1, g1, c1 = items[i]
-            a2, b2, t2, g2, c2 = items[i + 1]
-            if b1 > a2:
-                if b1 != a1:
-                    items[i] = (*_refine_interval(g1, c1, a1, b1, (b1 - a1) / 2),
-                                t1, g1, c1)
-                if b2 != a2:
-                    items[i + 1] = (*_refine_interval(g2, c2, a2, b2, (b2 - a2) / 2),
-                                    t2, g2, c2)
-                changed = True
-    pattern = [t for _, _, t, _, _ in items]
-    return pattern == ["p" if i % 2 == 0 else "q" for i in range(len(items))]
+    pattern = [t for _, _, t in sturm_isolate([(p, "p"), (q, "q")])]
+    return pattern == ["p" if i % 2 == 0 else "q" for i in range(len(pattern))]
 
 
 def family_pairs(trees) -> set[tuple[Poly, Poly]]:
@@ -74,12 +53,6 @@ def perturbed(p: Poly, q: Poly) -> list[tuple[Poly, Poly, bool | None]]:
                 ((X * X + ONE) * q.derivative(), q, False),   # complex roots of p
                 ((X - off) * (X - off) * q.derivative(), q, False)]  # repeated root
     return out
-
-
-def h24():
-    rng = random.Random(41)
-    return homogeneous_tree(2, 4, lam=lambda lv, addr: random_lambda(rng),
-                            beta=lambda lv, addr: random_beta(rng))
 
 
 def small_corpus_pairs():

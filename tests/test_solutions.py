@@ -113,20 +113,31 @@ def test_conjugation_symmetry():
                    for v in a.u.values)
 
 
+def _pair_at_i(tree):
+    return solve_pair(tree, default_path(tree), I)
+
+
 def test_rotated_positivity_small_and_levelled():
     tree = path_tree(1)
-    rep = rotated_positivity_report(tree, default_path(tree))
+    rep = rotated_positivity_report(_pair_at_i(tree))
     assert rep.ok and rep.rotated == {"x0": F(1), "x1": F(1)}
     h = homogeneous_tree(2, 4)
-    assert rotated_positivity_report(h, default_path(h)).ok
+    assert rotated_positivity_report(_pair_at_i(h)).ok
     h2 = homogeneous_tree(3, 3, lam=lambda lv, addr: F(lv + 1))
-    assert rotated_positivity_report(h2, default_path(h2)).ok
+    assert rotated_positivity_report(_pair_at_i(h2)).ok
 
 
 def test_rotated_positivity_requires_zero_diagonal():
     t = path_tree(2, beta=F(1))
     with pytest.raises(ValueError):
-        rotated_positivity_report(t, default_path(t))
+        rotated_positivity_report(_pair_at_i(t))
+
+
+def test_rotated_positivity_requires_pair_at_i():
+    h = homogeneous_tree(2, 2)
+    with pytest.raises(ValueError):
+        rotated_positivity_report(solve_pair(h, default_path(h),
+                                             GaussianRational(F(0), F(2))))
 
 
 def test_rotated_positivity_random_weights():
@@ -134,7 +145,7 @@ def test_rotated_positivity_random_weights():
     for _ in range(5):
         tree = homogeneous_tree(
             2, 3, lam=lambda lv, addr: F(rng.randint(1, 12), rng.randint(1, 4)))
-        rep = rotated_positivity_report(tree, default_path(tree))
+        rep = rotated_positivity_report(_pair_at_i(tree))
         assert rep.ok
         assert all(row["ok"] for row in rep.step_rows)
 

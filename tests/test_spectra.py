@@ -179,6 +179,7 @@ def test_spectral_description_multiplicities_match_char_poly():
         fam = family(tree)
         p = char_poly(tree)
         desc = spectral_description(fam)
+        assert desc.factor_product() == p.monic()
         # every described root interval carries exactly the multiplicity
         # the characteristic polynomial has there
         assert all(r.multiplicity == 1 for r in desc.top_roots.roots)
