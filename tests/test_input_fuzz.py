@@ -78,7 +78,7 @@ STAR_ROWS = ('{"id": "a", "parent": %s, "level": 0, "lambda": "1/1", '
              '"beta": "0/1"}, {"id": "x", "level": 1, "beta": "0/1"}')
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None,
+@settings(max_examples=100, deadline=None, derandomize=True, database=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(DOCUMENTS)
 @example('{"vertices": [%s], "top": "x", "top_lambda": "1/1"}'

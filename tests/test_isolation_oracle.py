@@ -80,9 +80,10 @@ def test_random_products_with_repeated_factors_match_oracle():
 
 
 def test_dyadic_roots_on_bisection_midpoints():
-    """Roots +-(2^k - 1) / 2^j: a linear factor x - r with |r| = 2^k - 1
-    has root bound 2^k, so r sits on the dyadic grid that halving (-2^k,
-    2^k] walks, and refinement returns the exact interval (m, m)."""
+    """Roots +-(2^k - 1) / 2^j.  A factor x - r with |r| = 2^k - 1 has
+    root bound 2^k, so r lies on the dyadic grid that halving (-2^k, 2^k]
+    walks, and refinement returns the exact interval (m, m); factors
+    that merge, or divide by 2^j, land on the grid only sometimes."""
     rng = random.Random(7)
     exact = 0
     for _ in range(40):
