@@ -162,15 +162,19 @@ def _cmd_wronskian(args, argv) -> int:
 
 
 def _make_generator(spec: str, path_lambda: str):
-    if spec.startswith("homogeneous:"):
-        d = int(spec.split(":", 1)[1])
+    kind, _, arg = spec.partition(":")
+    if kind == "homogeneous":
+        try:
+            d = int(arg)
+        except ValueError:
+            raise ValueError(f"unknown generator {spec!r}") from None
+        one = Fraction(1)
         if path_lambda == "linear":
             def lam(lv, addr):
-                return Fraction(lv + 1) if all(a == 0 for a in addr) \
-                    else Fraction(1)
+                return one if any(addr) else Fraction(lv + 1)
         else:
             def lam(lv, addr):
-                return Fraction(1)
+                return one
         return lambda depth: homogeneous_tree(d, depth, lam=lam)
     raise ValueError(f"unknown generator {spec!r}")
 

@@ -5,16 +5,22 @@ The eigen-equation at an interior vertex v (all neighbors present) reads
     z f(v) = lambda_v f(v') + beta_v f(v) + sum_{c child} lambda_c f(c),
 
 with no child sum at level 0.  For nonreal z the solution below a vertex
-is unique up to scale and never vanishes; its values on a side subtree
-hanging off a distinguished path are proportional to the polynomial
-family of that subtree evaluated at z.  Folding each side subtree into an
-effective diagonal (`SideReduction`) turns the path values into a
-classical three-term recursion, which `classical1d.recurrence_values`
-computes.  This module constructs the normalized
-solution/associated-solution pair along a path, measures norm growth,
-decides solution-space dimensions by exact elimination, and attempts the
-same propagation at real spectral values, where it can hit a genuine
-obstruction.
+is unique up to scale and never vanishes, so it is fixed by the ratios
+r(c) = f(c)/f(parent of c), which satisfy the tree continued fraction
+
+    r(c) = lambda_c / (z - beta_c - sum_{d child of c} lambda_d r(d)).
+
+The ratio depends only on the subtree below c, so it is computed once per
+class of identical subtrees (`TreeTruncation.shape_classes`), with no
+polynomial built.  Folding each side subtree hanging off a distinguished
+path into an effective diagonal (`SideReduction`) turns the path values
+into a classical three-term recursion, which
+`classical1d.recurrence_values` computes.  This module constructs the
+normalized solution/associated-solution pair along a path, measures norm
+growth from per-class masses without building the field, decides
+solution-space dimensions by exact elimination, and attempts the same
+propagation at real spectral values, where an up-polynomial of the
+family can vanish and the walk can hit a genuine obstruction.
 """
 
 from __future__ import annotations
@@ -88,38 +94,83 @@ class SolutionPair:
     side: tuple[SideReduction, ...]
 
 
-def _side_relative_values(tree: TreeTruncation, y: int, z,
-                          ratio_cache: dict | None = None
-                          ) -> dict[int, GaussianRational]:
-    """Values of the family row below side child y at z, normalized so the
-    attachment vertex (y's parent) carries value 1.  Requires the
-    up-polynomials below y not to vanish at z (guaranteed off the real
-    axis).  `ratio_cache` memoizes per-vertex ratios across structurally
-    identical subtrees."""
-    fam = family(tree, y)
-    cache = {} if ratio_cache is None else ratio_cache
-
-    def ratio(w: int) -> GaussianRational:
-        key = (fam.self_poly[w].coeffs, fam.up_poly[w].coeffs)
-        hit = cache.get(key)
-        if hit is None:
-            den = _gr(fam.up_poly[w](z))
-            if not den:
-                raise ValidationError(
-                    f"family denominator vanishes at {tree.ids[w]!r}")
-            hit = _gr(fam.self_poly[w](z)) / den
-            cache[key] = hit
-        return hit
-
-    rel = {y: ratio(y)}
-    for w in tree.descendants(y):
-        if w != y:
-            rel[w] = rel[tree.parent[w]] * ratio(w)
-    return rel
-
-
 def _gr(x) -> GaussianRational:
     return x if isinstance(x, GaussianRational) else GaussianRational.of(x)
+
+
+@dataclass
+class _PathReduction:
+    """A nonreal z and a path, with every subtree reduced once per class
+    of identical subtrees (`TreeTruncation.shape_classes`).
+
+    `ratio[c]` is f(w)/f(parent of w) for the solution f below any vertex
+    w of class c, and `rep[c]` is the first such w; children's classes
+    come first.  `side_children[k]` lists the side children of x_k, and
+    `diag[k]` is beta at x_k plus its side reduction."""
+
+    z: GaussianRational
+    cls: dict[int, int]
+    ratio: list[GaussianRational]
+    rep: list[int]
+    side_children: list[list[int]]
+    reductions: tuple[SideReduction, ...]
+    diag: list
+    lam: list[Fraction]
+
+    def v_path(self) -> list:
+        """v along the path: v(x_0) = 1 and the eigen-equation at x_0."""
+        return self._recur(_ONE, (self.z - self.diag[0]) / self.lam[0])
+
+    def u_path(self) -> list:
+        """u along the path: u(x_0) = 0, u(x_1) = 1/lambda_{x_0}."""
+        return self._recur(_ZERO, _gr(Fraction(1) / self.lam[0]))
+
+    def _recur(self, seed0, seed1) -> list:
+        return recurrence_values(self.lam.__getitem__, self.diag.__getitem__,
+                                 self.z, seed0, seed1, len(self.lam) - 1)
+
+
+def _reduce_path(tree: TreeTruncation, path: PathSelection,
+                 z) -> _PathReduction:
+    """Class ratios by the tree continued fraction
+
+        r(c) = lambda_c / (z - beta_c - sum_{d child of c} lambda_d r(d)),
+
+    which is self_poly[c](z) / up_poly[c](z) with the family recursion
+    divided through by self_poly[c](z); then the side reductions."""
+    z = _gr(z)
+    if z.im == 0:
+        raise ValueError("solve_pair needs a nonreal z; use propagate_real")
+    if tree.level[path[0]] != 0:
+        raise ValidationError("path must start at a level-0 vertex")
+    if not path.reaches_top():
+        raise ValidationError("path must reach the top of the truncation")
+    order, cls = tree.shape_classes(tree.top)
+    ratio: list[GaussianRational] = []
+    rep: list[int] = []
+    for w in order:
+        if cls[w] < len(ratio):
+            continue
+        den = z - tree.beta[w]
+        for d in tree.children[w]:
+            den = den - tree.lam[d] * ratio[cls[d]]
+        if not den:
+            raise ValidationError(
+                f"family denominator vanishes at {tree.ids[w]!r}")
+        ratio.append(tree.lam[w] / den)
+        rep.append(w)
+    side_children: list[list[int]] = [[]]
+    reductions: list[SideReduction] = []
+    diag = [tree.beta[path[0]]]
+    for k in range(1, len(path)):
+        xk = path[k]
+        ys = [y for y in tree.children[xk] if y != path[k - 1]]
+        side_sum = sum((tree.lam[y] * ratio[cls[y]] for y in ys), _ZERO)
+        side_children.append(ys)
+        reductions.append(SideReduction(tree.ids[xk], side_sum))
+        diag.append(tree.beta[xk] + side_sum)
+    return _PathReduction(z, cls, ratio, rep, side_children, tuple(reductions),
+                          diag, [tree.lam[w] for w in path.vertices])
 
 
 def solve_pair(tree: TreeTruncation, path: PathSelection,
@@ -129,44 +180,22 @@ def solve_pair(tree: TreeTruncation, path: PathSelection,
     nonreal z.  Both satisfy the eigen-equation at every interior vertex;
     u skips x_0 by construction.  The path must start on level 0 and end
     at the top of the truncation."""
-    z = _gr(z)
-    if z.im == 0:
-        raise ValueError("solve_pair needs a nonreal z; use propagate_real")
-    if tree.level[path[0]] != 0:
-        raise ValidationError("path must start at a level-0 vertex")
-    if not path.reaches_top():
-        raise ValidationError("path must reach the top of the truncation")
-    ratio_cache: dict = {}
-    side_rows: list[SideReduction] = []
-    side_values: list[list[dict[int, GaussianRational]]] = [[]]
-    diag = [tree.beta[path[0]]]
-    for k in range(1, len(path)):
-        xk = path[k]
-        sides = [y for y in tree.children[xk] if y != path[k - 1]]
-        rels = [_side_relative_values(tree, y, z, ratio_cache) for y in sides]
-        side_sum = sum((tree.lam[y] * rel[y] for y, rel in zip(sides, rels)),
-                       _ZERO)
-        side_rows.append(SideReduction(tree.ids[xk], side_sum))
-        side_values.append(rels)
-        diag.append(tree.beta[xk] + side_sum)
-    lam = [tree.lam[w] for w in path.vertices]
-    v_path = recurrence_values(lam.__getitem__, diag.__getitem__, z, _ONE,
-                               (z - diag[0]) / lam[0], len(path) - 1)
-    u_path = recurrence_values(lam.__getitem__, diag.__getitem__, z, _ZERO,
-                               _gr(Fraction(1) / lam[0]), len(path) - 1)
+    red = _reduce_path(tree, path, z)
     vv: dict[int, GaussianRational] = {}
     uu: dict[int, GaussianRational] = {}
-    for xk, fv, fu, rels in zip(path.vertices, v_path, u_path, side_values):
+    ratio, cls, parent = red.ratio, red.cls, tree.parent
+    for xk, fv, fu, ys in zip(path.vertices, red.v_path(), red.u_path(),
+                              red.side_children):
         vv[xk], uu[xk] = fv, fu
-        for rel in rels:
-            for w, rw in rel.items():
-                vv[w] = fv * rw
-                uu[w] = fu * rw
-        rels.clear()  # keeps the ratios from all living beside vv and uu
+        for y in ys:
+            for w in tree.descendants(y):
+                r, p = ratio[cls[w]], parent[w]
+                vv[w] = vv[p] * r
+                uu[w] = uu[p] * r
     interior = frozenset(tree.interior())
-    v_field = SolutionField(tree, z, vv, interior, path)
-    u_field = SolutionField(tree, z, uu, interior - {path[0]}, path)
-    return SolutionPair(v_field, u_field, path, tuple(side_rows))
+    v_field = SolutionField(tree, red.z, vv, interior, path)
+    u_field = SolutionField(tree, red.z, uu, interior - {path[0]}, path)
+    return SolutionPair(v_field, u_field, path, red.reductions)
 
 
 def wronskian(v: SolutionField, u: SolutionField, n: int) -> GaussianRational:
@@ -457,14 +486,27 @@ class GrowthProfile:
 def growth_profile(make_tree: Callable[[int], TreeTruncation],
                    z: GaussianRational,
                    depths: Iterable[int]) -> GrowthProfile:
-    """Solve at each depth and tabulate the exact squared norm of the
-    normalized solution plus the partial sums of 1/lambda along the path."""
+    """Tabulate at each depth the exact squared norm of the normalized
+    solution plus the partial sums of 1/lambda along the path.
+
+    No field is built: a side class c carries the mass
+
+        S(c) = |r(c)|^2 (1 + sum_{d child of c} S(d)),
+
+    the squared norm of the solution on its subtree relative to the
+    parent's value, so norm2 = sum_k |v(x_k)|^2 (1 + sum_{side y} S(y))."""
     rows = []
     for depth in depths:
         tree = make_tree(depth)
         path = default_path(tree)
-        pair = solve_pair(tree, path, z)
-        carleman = sum((Fraction(1) / tree.lam[v] for v in path.vertices),
-                       Fraction(0))
-        rows.append(GrowthRow(depth, tree.size, pair.v.norm2(), carleman))
+        red = _reduce_path(tree, path, z)
+        mass: list[Fraction] = []
+        for r, w in zip(red.ratio, red.rep):
+            mass.append(r.abs2() * (
+                1 + sum(mass[red.cls[d]] for d in tree.children[w])))
+        norm2 = Fraction(0)
+        for fv, ys in zip(red.v_path(), red.side_children):
+            norm2 += fv.abs2() * (1 + sum(mass[red.cls[y]] for y in ys))
+        carleman = sum((Fraction(1) / lam for lam in red.lam), Fraction(0))
+        rows.append(GrowthRow(depth, tree.size, norm2, carleman))
     return GrowthProfile.from_rows(rows)

@@ -44,8 +44,8 @@ class TreeTruncation:
         self.top = top
         self.parent = tuple(parent)
         self.level = tuple(int(l) for l in level)
-        self.lam = tuple(Fraction(x) for x in lam)
-        self.beta = tuple(Fraction(x) for x in beta)
+        self.lam = _fractions(lam)
+        self.beta = _fractions(beta)
         self.cut = frozenset(cut)
         kids: list[list[int]] = [[] for _ in self.ids]
         for v, p in enumerate(self.parent):
@@ -87,16 +87,39 @@ class TreeTruncation:
 
     def _post_order(self, root: int) -> list[int]:
         """Children-before-parent ordering of the subtree at root."""
-        out, stack = [], [(root, False)]
+        # the reverse of a preorder that takes the last child first
+        out, stack, children = [], [root], self.children
         while stack:
-            v, expanded = stack.pop()
-            if expanded:
-                out.append(v)
-            else:
-                stack.append((v, True))
-                for c in reversed(self.children[v]):
-                    stack.append((c, False))
+            v = stack.pop()
+            out.append(v)
+            stack.extend(children[v])
+        out.reverse()
         return out
+
+    def shape_classes(self, root: int) -> tuple[list[int], dict[int, int]]:
+        """Hash-cons the subtree at root into classes of identical subtrees.
+
+        Returns the children-before-parent order of its vertices and a
+        dense class id per vertex.  Two vertices share a class exactly when
+        they carry the same (beta, lambda) and their children, in order,
+        share classes.  Ids count up in order of first appearance, so every
+        child class has a smaller id than its parent's."""
+        order = self._post_order(root)
+        beta, lam, children = self.beta, self.lam, self.children
+        cls: dict[int, int] = {}
+        intern: dict[tuple, int] = {}
+        # generators share coefficient objects; keying on their identity
+        # first spares most Fraction hashes, and equal values still meet
+        # in `intern`
+        by_id: dict[tuple, int] = {}
+        for v in order:
+            b, l, kids = beta[v], lam[v], tuple([cls[c] for c in children[v]])
+            quick = (id(b), id(l), kids)
+            c = by_id.get(quick)
+            if c is None:
+                c = by_id[quick] = intern.setdefault((b, l, kids), len(intern))
+            cls[v] = c
+        return order, cls
 
     def subtree(self, x: int) -> "TreeTruncation":
         """The truncation below x, with x as its top; coefficients inherited."""
@@ -139,7 +162,7 @@ class TreeTruncation:
                         f"vertex {name!r}: parent level must be its level + 1")
             if self.level[v] < 0:
                 raise ValidationError(f"vertex {name!r} has negative level")
-            if self.lam[v] <= 0:
+            if self.lam[v].numerator <= 0:  # a Fraction's denominator is > 0
                 raise ValidationError(f"vertex {name!r} has nonpositive lambda")
             if not self.children[v] and self.level[v] > 0 and v not in self.cut:
                 raise ValidationError(
@@ -170,6 +193,10 @@ class TreeTruncation:
     def __repr__(self):
         return (f"TreeTruncation(top={self.ids[self.top]!r}, "
                 f"size={self.size})")
+
+
+def _fractions(values) -> tuple[Fraction, ...]:
+    return tuple(x if type(x) is Fraction else Fraction(x) for x in values)
 
 
 def build_from_spec(doc) -> TreeTruncation:
@@ -268,23 +295,24 @@ def homogeneous_tree(d: int, depth: int, lam=Fraction(1),
     lam_r, beta_r = _as_rule(lam), _as_rule(beta)
     ids, parent, level, lams, betas = [], [], [], [], []
 
-    def add(address: tuple[int, ...], parent_idx: int | None) -> int:
+    def add(address: tuple[int, ...], name: str, parent_idx: int | None):
         idx = len(ids)
-        ids.append("r" + "".join(f".{i}" for i in address))
+        ids.append(name)
         parent.append(parent_idx)
         lv = depth - len(address)
         level.append(lv)
-        lam_v = Fraction(lam_r(lv, address))
-        if lam_v <= 0:
-            raise ValueError(f"rule produced nonpositive lambda at {ids[idx]!r}")
+        lam_v = lam_r(lv, address)
+        if type(lam_v) is not Fraction:
+            lam_v = Fraction(lam_v)
+        if lam_v.numerator <= 0:
+            raise ValueError(f"rule produced nonpositive lambda at {name!r}")
         lams.append(lam_v)
-        betas.append(Fraction(beta_r(lv, address)))
+        betas.append(beta_r(lv, address))
         if lv > 0:
             for i in range(d):
-                add(address + (i,), idx)
-        return idx
+                add(address + (i,), f"{name}.{i}", idx)
 
-    add((), None)
+    add((), "r", None)
     return TreeTruncation(ids, 0, parent, level, lams, betas)
 
 

@@ -50,16 +50,13 @@ class PolyFamily:
 
     def _build(self):
         t = self.tree
-        # hash-cons structurally identical subtrees so homogeneous regions
-        # cost one polynomial computation per distinct shape
-        sig: dict[int, int] = {}
-        intern: dict[tuple, int] = {}
+        # one polynomial computation per class of identical subtrees, so
+        # homogeneous regions cost one per distinct shape
+        order, cls = t.shape_classes(self.anchor)
         memo: dict[int, tuple[Poly, Poly]] = {}
-        for v in t._post_order(self.anchor):
+        for v in order:
             kids = t.children[v]
-            key = (t.beta[v], t.lam[v], tuple(sig[c] for c in kids))
-            s = intern.setdefault(key, len(intern))
-            sig[v] = s
+            s = cls[v]
             if s in memo:
                 self.self_poly[v], self.up_poly[v] = memo[s]
                 continue

@@ -211,10 +211,15 @@ BOOL_LEVEL = STAR.replace('"level": 1, "beta"', '"level": true, "beta"')
     (BOOL_LEVEL, ["verify-all"]),
     (None, ["growth", "--generator", "homogeneous:2", "--depths", "5..3"]),
     (None, ["classical", "--rule", "geometric", "--depth", "-1"]),
+    (None, ["growth", "--generator", "homogeneous:2", "--depths", "3..4",
+            "--z=1/2"]),
+    (None, ["growth", "--generator", "homogeneous:0", "--depths", "3..4"]),
+    (None, ["growth", "--generator", "homogeneous:x", "--depths", "3..4"]),
 ], ids=["beta-1/0", "numeric-top_lambda", "z-1/0", "unknown-at",
         "unknown-target", "width-0", "width-negative", "numeric-beta",
         "numeric-lambda", "string-level", "bool-level", "empty-depths",
-        "negative-classical-depth"])
+        "negative-classical-depth", "growth-real-z", "growth-branching-0",
+        "growth-branching-x"])
 def test_bad_input_exits_2_with_one_line(tmp_path, doc, args):
     tree = tmp_path / "tree.json"
     tree_args = []
@@ -231,6 +236,20 @@ def test_bad_input_exits_2_with_one_line(tmp_path, doc, args):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+@pytest.mark.parametrize("args, message", [
+    (["--generator", "homogeneous:2", "--z=1/2"],
+     "solve_pair needs a nonreal z; use propagate_real"),
+    (["--generator", "homogeneous:0"], "branching d must be >= 1"),
+    (["--generator", "homogeneous:x"], "unknown generator 'homogeneous:x'"),
+    (["--generator", "homogeneous"], "unknown generator 'homogeneous'"),
+], ids=["real-z", "branching-0", "branching-x", "no-branching"])
+def test_growth_input_messages(capsys, args, message):
+    assert main(["growth", "--depths", "3..4", *args]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_reports_are_byte_identical(capsys, star_file):

@@ -1,6 +1,7 @@
 """Fuzz the input contract: every tree document, however malformed,
-makes `poly`, `spectrum` and `solve` exit 0, 1 or 2, never raise, and an
-exit of 2 comes with exactly one line on stderr."""
+makes `poly`, `spectrum`, `solve`, `wronskian` and `verify-all` exit 0, 1
+or 2, never raise, and an exit of 2 comes with exactly one line on
+stderr."""
 
 import contextlib
 import io
@@ -13,7 +14,8 @@ from hypothesis import strategies as st
 
 from treejacobi.cli import main
 
-COMMANDS = (["poly"], ["spectrum", "--width", "1/16"], ["solve"])
+COMMANDS = (["poly"], ["spectrum", "--width", "1/16"], ["solve"],
+            ["wronskian"], ["verify-all"])
 
 
 def _rationals(lo, hi):
