@@ -17,7 +17,7 @@ from .treecore import (PathSelection, TreeTruncation, build_from_spec,
 from .treepoly import PolyFamily, family
 from .spectra import (char_poly, count_negative_eigenvalues,
                       spectral_description, tree_inertia,
-                      truncated_operator, verify_spectral_identity)
+                      verify_spectral_identity)
 from .solutions import (SolutionField, growth_profile, propagate_real,
                         rotated_positivity_report, solve_pair,
                         uniqueness_dimension, wronskian)

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .errors import PositivityError
+from .spectra import tree_inertia
 from .treecore import TreeTruncation, path_tree
 
 
@@ -168,7 +169,6 @@ def positivity_sign_vector(j: ClassicalJacobi, count: int) -> list[Fraction]:
     the (count+1)-point path truncation is positive definite, which is
     checked first (ValueError when it is not).  A nonpositive entry past
     that certification raises PositivityError."""
-    from .spectra import tree_inertia  # local import avoids a cycle at load
     tree = j.path_truncation(count)
     inertia = tree_inertia(tree, Fraction(0))
     if inertia.below > 0 or inertia.at > 0:

@@ -18,7 +18,8 @@ exact evidence its defining property demands:
 Positivity certificates: ``check_positivity_certificate`` verifies the
 pointwise certificate inequality, and ``construct_positivity_certificate``
 produces an exact equality-mode certificate for a positive-definite
-truncation by Schur-reducing the side subtrees onto the path.
+truncation by Schur-reducing the side subtrees onto the path; the pivots
+come from the one tree elimination, `TreeTruncation.class_ratios`.
 """
 
 from __future__ import annotations
@@ -30,15 +31,14 @@ from fractions import Fraction
 from .classical1d import (ClassicalJacobi, classical,
                           positivity_sign_vector, pq_square_sum,
                           recurrence_values)
-from .errors import ConstructionError, PositivityError, SolveError
+from .errors import ConstructionError, PositivityError
 from .exactmath import GaussianRational, I, format_rational
 from .solutions import (GrowthProfile, GrowthRow, PropagationResult,
                         SolutionField, SolutionPair, propagate_real,
                         solve_pair, uniqueness_dimension)
-from .spectra import tree_inertia, tree_solve, eigenvalues_outside
+from .spectra import tree_inertia, eigenvalues_outside
 from .treecore import (PathSelection, TreeTruncation, decorated_path_tree,
                        default_path, homogeneous_tree)
-from .treepoly import family
 
 # ---------------------------------------------------------------------
 # positivity certificates
@@ -112,26 +112,15 @@ def _side_roots(tree: TreeTruncation, path: PathSelection, k: int) -> list[int]:
     return [c for c in tree.children[path[k]] if c != below]
 
 
-def _side_mass(tree: TreeTruncation, s: int) -> Fraction:
-    """lambda_s^2 * (M_s^{-1})_{ss} where M_s is the sign-flipped block of
-    the subtree at s (diagonal beta, off-diagonal -lambda): the exact
-    Schur-complement mass the side subtree pushes onto the path."""
-    order = tree.descendants(s)
-    diag = {v: tree.beta[v] for v in order}
-    off = {v: -tree.lam[v] for v in order}
-    w = tree_solve(tree, diag, off, {s: Fraction(1)}, at=s)
-    return tree.lam[s] ** 2 * w[s]
-
-
-def _side_equality_values(tree: TreeTruncation, s: int,
-                          attach: Fraction) -> dict[int, Fraction]:
-    """Solve the equality system on the subtree at s given the path value
-    `attach` above it: beta_v m(v) = lambda_v m(parent) + sum_c lambda_c m(c)
-    for every v in the subtree."""
-    order = tree.descendants(s)
-    diag = {v: tree.beta[v] for v in order}
-    off = {v: -tree.lam[v] for v in order}
-    return tree_solve(tree, diag, off, {s: tree.lam[s] * attach}, at=s)
+def _fill_sides(tree: TreeTruncation, path: PathSelection,
+                cls: dict[int, int], ratio: list, f: dict[int, Fraction]):
+    """Carry the path values of f down every side subtree by
+    f(w) = -r(w) f(parent w): the eigen-equation of the class ratios, with
+    the signs (-1)^level of the sign-flipped truncation."""
+    for k in range(len(path)):
+        for s in _side_roots(tree, path, k):
+            for w in tree.descendants(s):
+                f[w] = -ratio[cls[w]] * f[tree.parent[w]]
 
 
 @dataclass
@@ -155,11 +144,12 @@ def construct_positivity_certificate(tree: TreeTruncation,
     Every side subtree hanging off the path is Schur-reduced exactly onto
     its path vertex; the reduced path matrix (diagonal beta - side mass)
     is positive definite whenever the truncation is, its alternating-sign
-    first-kind values at 0 give the path part of m, and solving the side
-    blocks back against those path values gives the rest.  The
-    regularized resolvent column (1/n_reg I - sign-flipped J)^{-1} delta
-    at the path origin is also computed, as a strictly positive witness
-    and a cross-check on the side masses."""
+    first-kind values at 0 give the path part of m, and the class ratios
+    at 0 (`TreeTruncation.class_ratios`) carry those values down the side
+    subtrees.  The regularized resolvent column
+    (1/n_reg I + sign-flipped J)^{-1} delta at the path origin is also
+    computed, as a strictly positive witness and a cross-check on the side
+    masses."""
     if path is None:
         path = default_path(tree)
     if not path.reaches_top():
@@ -171,36 +161,18 @@ def construct_positivity_certificate(tree: TreeTruncation,
             f"no positivity certificate exists")
     if n_reg < 1:
         raise ValueError("n_reg must be a positive integer")
-    # regularized witness (positive by M-matrix structure of the system)
-    eps = Fraction(1, n_reg)
-    try:
-        f_reg = tree_solve(tree,
-                           {v: eps + tree.beta[v] for v in range(tree.size)},
-                           {v: -tree.lam[v] for v in range(tree.size)},
-                           {path[0]: Fraction(1)})
-    except SolveError as exc:
-        raise SolveError(
-            f"regularized system singular at n_reg={n_reg}; "
-            f"choose a larger n_reg") from exc
-    if any(x <= 0 for x in f_reg.values()):
-        raise PositivityError("regularized witness failed strict positivity")
-    m_reg = {v: x / f_reg[path[0]] for v, x in f_reg.items()}
-    # exact side masses and the regularized ones they must approximate
+    m_reg = _regularized_witness(tree, path, Fraction(1, n_reg))
+    # the side subtree at s folds onto its path vertex with the Schur mass
+    # lambda_s^2 / pivot(s) = -lambda_s r(s)
+    _, cls, ratio, _ = tree.class_ratios(tree.top, Fraction(0))
     masses: list[Fraction] = []
     masses_reg: list[Fraction] = []
     for k in range(len(path)):
-        total = Fraction(0)
-        total_reg = Fraction(0)
-        for s in _side_roots(tree, path, k):
-            try:
-                total += _side_mass(tree, s)
-            except SolveError:
-                raise PositivityError(
-                    f"singular side block at {tree.ids[s]!r}; the equality "
-                    f"certificate needs a positive-definite truncation")
-            total_reg += tree.lam[s] * m_reg[s]
-        masses.append(total)
-        masses_reg.append(total_reg / m_reg[path[k]])
+        sides = _side_roots(tree, path, k)
+        masses.append(-sum((tree.lam[s] * ratio[cls[s]] for s in sides),
+                           Fraction(0)))
+        masses_reg.append(sum((tree.lam[s] * m_reg[s] for s in sides),
+                              Fraction(0)) / m_reg[path[k]])
     reduced = [tree.beta[path[k]] - masses[k] for k in range(len(path))]
     lam_path = [tree.lam[v] for v in path.vertices]
     j_reduced = ClassicalJacobi(lambda n: lam_path[n], lambda n: reduced[n],
@@ -213,12 +185,36 @@ def construct_positivity_certificate(tree: TreeTruncation,
     m: dict[int, Fraction] = {}
     for k, v in enumerate(path.vertices):
         m[v] = m_path[k]
-    for k in range(len(path)):
-        for s in _side_roots(tree, path, k):
-            m.update(_side_equality_values(tree, s, m[path[k]]))
+    _fill_sides(tree, path, cls, ratio, m)
     cert = PositivityCertificate(tree, m, "equality")
     _verify_equality_certificate(tree, m)
     return CertificateConstruction(cert, reduced, masses, masses_reg, m_reg)
+
+
+def _regularized_witness(tree: TreeTruncation, path: PathSelection,
+                         eps: Fraction) -> dict[int, Fraction]:
+    """f / f(x_0) for the solution f of (eps I + M) f = delta_{x_0}, where M
+    is the sign-flipped truncation (diagonal beta, off-diagonal -lambda).
+
+    M is J conjugated by the signs (-1)^level, so eps I + M has the
+    pivots -lambda_v / r(v) of the class ratios at z = -eps, all positive
+    for a positive semidefinite J.  The right-hand side is carried up the
+    path by a forward sweep; back-substitution from the top then gives
+    the path values, and f(w) = -r(w) f(parent w) off the path."""
+    _, cls, ratio, _ = tree.class_ratios(tree.top, -eps)
+    xs = path.vertices
+    rhs = [Fraction(1)]
+    for v in xs[:-1]:
+        rhs.append(-ratio[cls[v]] * rhs[-1])
+    f: dict[int, Fraction] = {}
+    above = Fraction(0)  # f(x_{k+1}); zero past the top
+    for k in reversed(range(len(xs))):
+        v = xs[k]
+        f[v] = above = -ratio[cls[v]] * (rhs[k] / tree.lam[v] + above)
+    _fill_sides(tree, path, cls, ratio, f)
+    if any(x <= 0 for x in f.values()):
+        raise PositivityError("regularized witness failed strict positivity")
+    return {v: x / f[xs[0]] for v, x in f.items()}
 
 
 def _verify_equality_certificate(tree: TreeTruncation, m: dict[int, Fraction]):
@@ -289,6 +285,11 @@ def build_small_norm_pair(depth: int, budget=default_budget) -> SmallNormResult:
     if depth < 1:
         raise ValueError("depth must be >= 1")
     z = I
+    # classical values at z with unit weights and zero diagonal: stage n's
+    # side chain carries free[:n], bottom first, and its head is free[n]
+    free = recurrence_values(lambda k: 1, lambda k: 0, z,
+                             GaussianRational.of(1), z, depth)
+    chain_mass = Fraction(0)
     ids: list[str] = ["x0"]
     parent_ids: dict[str, str | None] = {"x0": None}
     levels: dict[str, int] = {"x0": 0}
@@ -306,8 +307,8 @@ def build_small_norm_pair(depth: int, budget=default_budget) -> SmallNormResult:
         # eigen-equation at x_{n-1}: lambda_{x_{n-1}} v(x_n) = R, where R
         # collects z v(x_{n-1}) minus all already-fixed neighbor terms
         r_val = z * values[prev]
-        for y in ids:
-            if parent_ids.get(y) == prev:
+        if n >= 2:  # the neighbors below x_{n-1}
+            for y in (f"x{n - 2}", f"s{n - 1}"):
                 r_val = r_val - lams[y] * values[y]
         if not r_val:
             raise ConstructionError(
@@ -324,17 +325,11 @@ def build_small_norm_pair(depth: int, budget=default_budget) -> SmallNormResult:
         values[cur] = r_val / lam_prev
         # fresh side chain s_n (level n-1) ... s_n.<n-1> (level 0)
         chain = [f"s{n}"] + [f"s{n}.{j}" for j in range(1, n)]
-        # classical values at z with unit weights and zero diagonal,
-        # bottom of the side chain first
-        free = recurrence_values(lambda k: 1, lambda k: 0, z,
-                                 GaussianRational.of(1), z, n - 1)
-        head = z * free[-1]
-        if n >= 2:
-            head = head - free[-2]
+        head = free[n]
         if not head:
             raise ConstructionError(
                 f"vanishing side numerator at stage {n}")
-        chain_mass = sum((w.abs2() for w in free), Fraction(0))
+        chain_mass += free[n - 1].abs2()
         lam_side = Fraction(1)
         while (lam_side ** 2 * values[cur].abs2() / head.abs2()) * chain_mass > b_n:
             lam_side /= 2
@@ -345,16 +340,17 @@ def build_small_norm_pair(depth: int, budget=default_budget) -> SmallNormResult:
             parent_ids[name] = cur if j == 0 else chain[j - 1]
             levels[name] = n - 1 - j
             lams[name] = lam_side if j == 0 else Fraction(1)
-            values[name] = scale * free[len(chain) - 1 - j]
+            values[name] = scale * free[n - 1 - j]
         norm = norm + side_norm + values[cur].abs2()
         ledger.append(NormLedgerRow(
             n, side_norm, values[cur].abs2(), norm,
             Fraction(1) - Fraction(1, 2 ** n)))
     lams[f"x{depth}"] = Fraction(1)  # weight of the absent upward edge
+    index = {name: i for i, name in enumerate(ids)}
     tree = TreeTruncation(
         ids=ids,
-        top=ids.index(f"x{depth}"),
-        parent=[None if parent_ids[i] is None else ids.index(parent_ids[i])
+        top=index[f"x{depth}"],
+        parent=[None if parent_ids[i] is None else index[parent_ids[i]]
                 for i in ids],
         level=[levels[i] for i in ids],
         lam=[lams[i] for i in ids],
@@ -631,10 +627,11 @@ def _kill_beta(block: _Block) -> tuple[Fraction, int]:
     """The diagonal value at the block root that forces the interior
     solution at 0 to vanish one level above the root.
 
-    The block below the root is positive definite (checked), the interior
-    solution space at 0 is one-dimensional (checked by elimination), and
-    the root value of the family at 0 cannot vanish; the diagonal is then
-    -(sum of child values)/(root value)."""
+    The block below the root is positive definite (checked), so every
+    class ratio r(c) = f(c)/f(root) at 0 is finite, and the interior
+    solution space at 0 is one-dimensional (checked by elimination); the
+    eigen-equation at the root with f(above) = 0 then gives the diagonal
+    -sum_c lambda_c r(c)."""
     t = block.tree
     for c in t.children[0]:
         sub = tree_inertia(t, Fraction(0), at=c)
@@ -645,15 +642,9 @@ def _kill_beta(block: _Block) -> tuple[Fraction, int]:
     if dim != 1:
         raise ConstructionError(
             f"interior solution space at 0 has dimension {dim}, expected 1")
-    fam = family(t, 0)
-    root_val = fam.self_poly[0](Fraction(0))
-    if root_val == 0:
-        raise ConstructionError(
-            "family value at the kill vertex vanishes; excluded by the "
-            "positive definite block")
-    child_sum = sum((t.lam[c] * fam.entry(0, c)(Fraction(0))
-                     for c in t.children[0]), Fraction(0))
-    return -child_sum / root_val, dim
+    _, cls, ratio, _ = t.class_ratios(t.top, Fraction(0))
+    return -sum((t.lam[c] * ratio[cls[c]] for c in t.children[0]),
+                Fraction(0)), dim
 
 
 def small_norm_profile(depths) -> GrowthProfile:

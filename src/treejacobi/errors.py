@@ -37,9 +37,5 @@ class ConstructionError(TreeJacobiError):
     """An inductive matrix construction hit a case its theory excludes."""
 
 
-class SolveError(TreeJacobiError):
-    """An exact linear system turned out to be singular."""
-
-
 class PositivityError(TreeJacobiError):
     """A quantity certified positive failed an exact positivity check."""

@@ -288,16 +288,6 @@ def format_poly(p: Poly) -> str:
     return "[" + ", ".join(format_rational(c) for c in p.coeffs) + "]"
 
 
-def parse_poly(text: str) -> Poly:
-    text = text.strip()
-    if not (text.startswith("[") and text.endswith("]")):
-        raise ParseError(f"not a polynomial literal: {text!r}")
-    body = text[1:-1].strip()
-    if not body:
-        return Poly()
-    return Poly([parse_rational(part) for part in body.split(",")])
-
-
 # ---------------------------------------------------------------------
 # gcd / lcm
 # ---------------------------------------------------------------------

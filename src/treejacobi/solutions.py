@@ -11,11 +11,11 @@ r(c) = f(c)/f(parent of c), which satisfy the tree continued fraction
     r(c) = lambda_c / (z - beta_c - sum_{d child of c} lambda_d r(d)).
 
 The ratio depends only on the subtree below c, so it is computed once per
-class of identical subtrees (`TreeTruncation.shape_classes`), with no
-polynomial built.  Folding each side subtree hanging off a distinguished
-path into an effective diagonal (`SideReduction`) turns the path values
-into a classical three-term recursion, which
-`classical1d.recurrence_values` computes.  This module constructs the
+class of identical subtrees by the package's one tree elimination,
+`TreeTruncation.class_ratios`, with no polynomial built.  Folding each
+side subtree hanging off a distinguished path into an effective diagonal
+(`SideReduction`) turns the path values into a classical three-term
+recursion, which `classical1d.recurrence_values` computes.  This module constructs the
 normalized solution/associated-solution pair along a path, measures norm
 growth from per-class masses without building the field, decides
 solution-space dimensions by exact elimination, and attempts the same
@@ -101,7 +101,7 @@ def _gr(x) -> GaussianRational:
 @dataclass
 class _PathReduction:
     """A nonreal z and a path, with every subtree reduced once per class
-    of identical subtrees (`TreeTruncation.shape_classes`).
+    of identical subtrees (`TreeTruncation.class_ratios`).
 
     `ratio[c]` is f(w)/f(parent of w) for the solution f below any vertex
     w of class c, and `rep[c]` is the first such w; children's classes
@@ -133,11 +133,9 @@ class _PathReduction:
 def _reduce_path(tree: TreeTruncation, path: PathSelection,
                  z) -> _PathReduction:
     """Class ratios by the tree continued fraction
-
-        r(c) = lambda_c / (z - beta_c - sum_{d child of c} lambda_d r(d)),
-
-    which is self_poly[c](z) / up_poly[c](z) with the family recursion
-    divided through by self_poly[c](z); then the side reductions."""
+    (`TreeTruncation.class_ratios`), which is self_poly[c](z) /
+    up_poly[c](z) with the family recursion divided through by
+    self_poly[c](z); then the side reductions."""
     z = _gr(z)
     if z.im == 0:
         raise ValueError("solve_pair needs a nonreal z; use propagate_real")
@@ -145,20 +143,11 @@ def _reduce_path(tree: TreeTruncation, path: PathSelection,
         raise ValidationError("path must start at a level-0 vertex")
     if not path.reaches_top():
         raise ValidationError("path must reach the top of the truncation")
-    order, cls = tree.shape_classes(tree.top)
-    ratio: list[GaussianRational] = []
-    rep: list[int] = []
-    for w in order:
-        if cls[w] < len(ratio):
-            continue
-        den = z - tree.beta[w]
-        for d in tree.children[w]:
-            den = den - tree.lam[d] * ratio[cls[d]]
-        if not den:
+    _, cls, ratio, rep = tree.class_ratios(tree.top, z)
+    for r, w in zip(ratio, rep):
+        if r is None:
             raise ValidationError(
                 f"family denominator vanishes at {tree.ids[w]!r}")
-        ratio.append(tree.lam[w] / den)
-        rep.append(w)
     side_children: list[list[int]] = [[]]
     reductions: list[SideReduction] = []
     diag = [tree.beta[path[0]]]

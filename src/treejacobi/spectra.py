@@ -1,5 +1,5 @@
-"""Truncated operators: exact matrices, characteristic polynomials and the
-factorization of their spectra through the polynomial family.
+"""Truncated operators: characteristic polynomials, the factorization of
+their spectra through the polynomial family, and eigenvalue counts.
 
 The truncation of the operator to the subtree below x is the symmetric
 matrix coupling each vertex to itself (beta), to its parent and children
@@ -11,9 +11,9 @@ family recursion and serves as the oracle for the spectral factorization:
 
 (all factors monic, t ranging over the internal vertices, c over the
 children of t).  Eigenvalue counting against rational thresholds is done
-two ways: Sturm counts on the characteristic polynomial, and an O(n)
-congruence diagonalization along the tree that scales to truncations far
-beyond the reach of polynomial chains.
+two ways: Sturm counts on the characteristic polynomial, and the signs of
+the pivots of the tree elimination (`TreeTruncation.class_ratios`), O(n)
+and far beyond the reach of polynomial chains.
 """
 
 from __future__ import annotations
@@ -21,38 +21,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import SolveError
 from .exactmath import (ONE, Poly, RootSet, count_real_roots,
                         isolate_real_roots, poly_gcd,
                         square_free_decomposition)
 from .treecore import TreeTruncation
 from .treepoly import PolyFamily, family
-
-
-@dataclass(frozen=True)
-class TruncatedOperator:
-    """Exact symmetric matrix of the truncation below `anchor`."""
-
-    tree: TreeTruncation
-    anchor: int
-    vertices: tuple[int, ...]
-    matrix: tuple[tuple[Fraction, ...], ...]
-
-
-def truncated_operator(tree: TreeTruncation, at: int | None = None) -> TruncatedOperator:
-    anchor = tree.top if at is None else at
-    order = tree.descendants(anchor)
-    pos = {v: i for i, v in enumerate(order)}
-    n = len(order)
-    mat = [[Fraction(0)] * n for _ in range(n)]
-    for v in order:
-        i = pos[v]
-        mat[i][i] = tree.beta[v]
-        for c in tree.children[v]:
-            j = pos[c]
-            mat[i][j] = mat[j][i] = tree.lam[c]
-    return TruncatedOperator(tree, anchor,
-                             tuple(order), tuple(tuple(row) for row in mat))
 
 
 def char_poly(tree: TreeTruncation, at: int | None = None) -> Poly:
@@ -186,47 +159,34 @@ class Inertia:
 
 def tree_inertia(tree: TreeTruncation, sigma: Fraction,
                  at: int | None = None) -> Inertia:
-    """Inertia of (J_x - sigma I) by leaf-to-root congruence elimination.
+    """Inertia of (J_x - sigma I) by Sylvester's law: `below`/`at`/`above`
+    are the numbers of eigenvalues of the truncation below, at and above
+    sigma, exact and with multiplicity.
 
-    A zero pivot at a child pairs it with its parent into a 2x2 block of
-    inertia (+1, -1); the parent's remaining couplings are annihilated by
-    the child's row, so later siblings and the grandparent see it removed.
-    Counts are exact: `below`/`at`/`above` are the numbers of eigenvalues
-    of the truncation below, at, and above sigma.
+    The class ratio r(v) of `TreeTruncation.class_ratios` at sigma has the
+    sign of the pivot of sigma - J, so r(v) > 0 counts below and r(v) < 0
+    above.  A zero pivot (r = None) below the anchor pairs with its
+    parent, whose pivot turns infinite (r = 0): the 2x2 block has one
+    eigenvalue each side of sigma, and each further zero-pivot child of
+    the same parent is decoupled and counts at sigma.  A zero pivot at the
+    anchor counts at sigma.
     """
     anchor = tree.top if at is None else at
-    sigma = Fraction(sigma)
-    d = {v: tree.beta[v] - sigma for v in tree.descendants(anchor)}
-    paired: set[int] = set()  # vertices consumed by a zero-pivot pair
-    pos = neg = zero = 0
-
-    def classify(x: Fraction):
-        nonlocal pos, neg, zero
-        if x > 0:
-            pos += 1
-        elif x < 0:
-            neg += 1
+    order, cls, ratio, _ = tree.class_ratios(anchor, Fraction(sigma))
+    below = zero = above = 0
+    for v in order:
+        r = ratio[cls[v]]
+        if r is None:
+            zero += v == anchor
+        elif r == 0:
+            below += 1
+            above += 1
+            zero += sum(ratio[cls[c]] is None for c in tree.children[v]) - 1
+        elif r > 0:
+            below += 1
         else:
-            zero += 1
-
-    for v in tree._post_order(anchor):
-        if v in paired:
-            continue  # counted with the child that zeroed out
-        if v == anchor:
-            classify(d[v])
-            continue
-        u = tree.parent[v]
-        if u in paired:
-            # the pairing annihilated the edge upward; v closes a component
-            classify(d[v])
-        elif d[v] != 0:
-            classify(d[v])
-            d[u] -= tree.lam[v] ** 2 / d[v]
-        else:
-            pos += 1
-            neg += 1
-            paired.add(u)
-    return Inertia(below=neg, at=zero, above=pos)
+            above += 1
+    return Inertia(below=below, at=zero, above=above)
 
 
 def eigenvalues_outside(tree: TreeTruncation, lo: Fraction, hi: Fraction,
@@ -234,44 +194,6 @@ def eigenvalues_outside(tree: TreeTruncation, lo: Fraction, hi: Fraction,
     """Eigenvalue count (with multiplicity) outside the closed interval."""
     return (tree_inertia(tree, Fraction(lo), at).below
             + tree_inertia(tree, Fraction(hi), at).above)
-
-
-# ---------------------------------------------------------------------
-# exact linear solves along the tree
-# ---------------------------------------------------------------------
-
-
-def tree_solve(tree: TreeTruncation, diag: dict[int, Fraction],
-               offdiag: dict[int, Fraction], rhs: dict[int, Fraction],
-               at: int | None = None) -> dict[int, Fraction]:
-    """Solve M f = rhs where M has the tree's adjacency pattern below `at`:
-    M[v][v] = diag[v] and M[v][parent v] = offdiag[v].
-
-    Elimination runs leaves-to-root with no fill-in; a zero pivot raises
-    SolveError (all systems solved in this package are positive definite,
-    so a singular pivot means a violated precondition).
-    """
-    anchor = tree.top if at is None else at
-    order = tree._post_order(anchor)
-    d = {v: Fraction(diag[v]) for v in order}
-    b = {v: Fraction(rhs.get(v, Fraction(0))) for v in order}
-    for v in order:
-        if v == anchor:
-            continue
-        if d[v] == 0:
-            raise SolveError(f"zero pivot at vertex {tree.ids[v]!r}")
-        u = tree.parent[v]
-        w = Fraction(offdiag[v])
-        d[u] -= w * w / d[v]
-        b[u] -= w * b[v] / d[v]
-    if d[anchor] == 0:
-        raise SolveError(f"zero pivot at vertex {tree.ids[anchor]!r}")
-    x = {anchor: b[anchor] / d[anchor]}
-    for v in reversed(order):
-        if v == anchor:
-            continue
-        x[v] = (b[v] - Fraction(offdiag[v]) * x[tree.parent[v]]) / d[v]
-    return x
 
 
 # ---------------------------------------------------------------------

@@ -121,6 +121,37 @@ class TreeTruncation:
             cls[v] = c
         return order, cls
 
+    def class_ratios(self, root: int, z) -> tuple[list[int], dict[int, int],
+                                                 list, list[int]]:
+        """The tree elimination at z: `shape_classes(root)` plus, per class
+        c, the ratio
+
+            r(c) = lambda_c / (z - beta_c - sum_{e child of c} lambda_e r(e))
+
+        and `rep[c]`, the first vertex of the class.  The denominator is
+        the Schur pivot of z - J on the subtree; r(c) is f(c)/f(parent c)
+        for a solution f of the eigen-equation below c.  A zero pivot gives
+        r(c) = None, and a child with r = None makes the parent's pivot
+        infinite, so its r is 0.  z may be a Fraction or a
+        GaussianRational."""
+        order, cls = self.shape_classes(root)
+        beta, lam, children = self.beta, self.lam, self.children
+        ratio: list = []
+        rep: list[int] = []
+        for w in order:
+            if cls[w] < len(ratio):
+                continue
+            den = z - beta[w]
+            for d in children[w]:
+                r = ratio[cls[d]]
+                if r is None:
+                    den = None
+                    break
+                den = den - lam[d] * r
+            ratio.append(0 if den is None else lam[w] / den if den else None)
+            rep.append(w)
+        return order, cls, ratio, rep
+
     def subtree(self, x: int) -> "TreeTruncation":
         """The truncation below x, with x as its top; coefficients inherited."""
         if not 0 <= x < self.size:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import random_corpus, random_lambda
+from conftest import cut_shape_corpus, random_corpus, random_lambda
 from treejacobi.constructions import (bounded_base_radius_ok,
                                       build_path_perturbed_homogeneous,
                                       build_pendant_path,
@@ -19,6 +19,8 @@ from treejacobi.solutions import propagate_real, uniqueness_dimension
 from treejacobi.spectra import count_negative_eigenvalues, tree_inertia
 from treejacobi.treecore import (TreeTruncation, build_from_spec,
                                  default_path, homogeneous_tree, path_tree)
+from treejacobi.treepoly import family
+from tree_elimination_oracle import certificate_oracle
 
 
 def make_positive_definite(tree: TreeTruncation) -> TreeTruncation:
@@ -100,6 +102,19 @@ def test_construct_certificate_random_positive_definite():
         assert all(x > 0 for x in con.certificate.m.values())
         verdict = check_positivity_certificate(tree, con.certificate.m)
         assert verdict.ok and verdict.equality_everywhere
+
+
+def test_certificate_matches_explicit_solves():
+    trees = ([make_positive_definite(t) for t in
+              random_corpus(55, 20) + cut_shape_corpus(5)]
+             + [homogeneous_tree(2, 4, beta=F(4))])
+    for tree in trees:
+        for n_reg in (1, 1000):
+            con = construct_positivity_certificate(tree, n_reg=n_reg)
+            ref = certificate_oracle(tree, default_path(tree), n_reg)
+            assert con.side_mass == ref.side_mass
+            assert con.certificate.m == ref.m
+            assert con.regularized_m == ref.regularized_m
 
 
 def test_construct_certificate_rejects_indefinite():
@@ -253,6 +268,18 @@ def test_obstruction_depths():
             for c in res.tree.children[y]:
                 inertia = tree_inertia(res.tree, F(0), at=c)
                 assert inertia.below == 0 and inertia.at == 0
+
+
+def test_kill_betas_match_family_values():
+    # the eigen-equation at y_k with the family's values at 0 and a zero
+    # value above y_k
+    res = build_real_obstruction(4)
+    for k, beta in enumerate(res.kill_betas):
+        y = res.tree.index_of(f"y{k}")
+        fam = family(res.tree, y)
+        child_sum = sum((res.tree.lam[c] * fam.entry(y, c)(F(0))
+                         for c in res.tree.children[y]), F(0))
+        assert beta == -child_sum / fam.self_poly[y](F(0))
 
 
 def test_obstruction_vertex_is_first_side():

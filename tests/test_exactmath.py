@@ -8,9 +8,20 @@ from treejacobi.exactmath import (GaussianRational, I, ONE, Poly, X,
                                   count_real_roots, format_poly,
                                   format_rational, has_only_real_simple_roots,
                                   isolate_real_roots, parse_gaussian,
-                                  parse_poly, parse_rational, poly_gcd,
+                                  parse_rational, poly_gcd,
                                   poly_lcm, square_free_decomposition,
                                   strict_interlace)
+
+
+def parse_poly(text: str) -> Poly:
+    """Read back a `format_poly` literal such as "[-2/1, 0/1, 1/1]"."""
+    text = text.strip()
+    if not (text.startswith("[") and text.endswith("]")):
+        raise ParseError(f"not a polynomial literal: {text!r}")
+    body = text[1:-1].strip()
+    if not body:
+        return Poly()
+    return Poly([parse_rational(part) for part in body.split(",")])
 
 
 def rand_poly(rng, max_deg, nonzero=True):

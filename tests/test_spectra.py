@@ -1,18 +1,25 @@
+import functools
+import math
 import random
 from fractions import Fraction as F
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (cut_shape_corpus, exhaustive_corpus, random_corpus,
                       random_lambda, random_beta)
 from treejacobi.exactmath import (ONE, Poly, X, count_real_roots,
+                                  isolate_real_roots,
                                   square_free_decomposition)
 from treejacobi.spectra import (char_poly, count_negative_eigenvalues,
                                 eigenvalues_outside,
                                 eigenvector_witness_report,
                                 spectral_description, tree_inertia,
-                                tree_solve, truncated_operator,
                                 verify_spectral_identity)
 from treejacobi.treecore import build_from_spec, homogeneous_tree, path_tree
 from treejacobi.treepoly import family
+from tree_elimination_oracle import (pivot_inertia, tree_solve,
+                                     truncated_operator)
 
 STAR = build_from_spec("""
 {"vertices": [
@@ -118,6 +125,18 @@ def test_negative_counts():
     assert count_negative_eigenvalues(star4) == 0
 
 
+def _sturm_counts(p, sigma):
+    """(below, at): the eigenvalues of char poly p below and at sigma, with
+    multiplicity, by Sturm counts on the square-free factors."""
+    q, at = p, 0
+    while q(sigma) == 0:
+        q = q.exact_div(Poly([-sigma, 1]))
+        at += 1
+    below = sum(mult * count_real_roots(g, None, sigma)
+                for g, mult in square_free_decomposition(q) if g.degree >= 1)
+    return below, at
+
+
 def test_inertia_matches_char_poly_counts():
     trees = exhaustive_corpus(5) + random_corpus(77, 12, max_vertices=10)
     sigmas = [F(0), F(1), F(-1), F(2), F(-2), F(1, 2), F(4)]
@@ -125,22 +144,56 @@ def test_inertia_matches_char_poly_counts():
         p = char_poly(tree)
         for sigma in sigmas:
             inertia = tree_inertia(tree, sigma)
-            # multiplicity of sigma as an eigenvalue
-            q, at = p, 0
-            while q(sigma) == 0:
-                q = q.exact_div(Poly([-sigma, 1]))
-                at += 1
-            below = 0
-            for g, mult in square_free_decomposition(q):
-                if g.degree >= 1:
-                    gg = g
-                    if gg(sigma) == 0:
-                        gg = gg.exact_div(Poly([-sigma, 1]))
-                    if gg.degree >= 1:
-                        below += mult * count_real_roots(gg, None, sigma)
-            assert inertia.at == at, (tree.ids, sigma)
-            assert inertia.below == below, (tree.ids, sigma)
+            assert (inertia.below, inertia.at) == _sturm_counts(p, sigma), \
+                (tree.ids, sigma)
             assert inertia.below + inertia.at + inertia.above == tree.size
+
+
+def _rational_roots(p):
+    """The rational roots of p.  Scaled to integer coefficients with
+    leading coefficient a, p has its rational roots in (1/a)Z, so an
+    isolating interval narrower than 1/a holds at most one candidate."""
+    a = abs(p.leading() * math.lcm(*(c.denominator for c in p.coeffs)))
+    candidates = (F(math.floor(r.hi * a), a)
+                  for r in isolate_real_roots(p, F(1, 2 * a)).roots)
+    return {x for x in candidates if p(x) == 0}
+
+
+# unit-weight zero-diagonal homogeneous trees and every small shape, each
+# at its top and at the top's children
+INERTIA_CASES = [
+    (tree, anchor)
+    for tree in ([homogeneous_tree(d, depth) for d in (1, 2, 3)
+                  for depth in range(5)]
+                 + exhaustive_corpus(6) + cut_shape_corpus(6))
+    for anchor in (tree.top,) + tree.children[tree.top]]
+
+
+@functools.cache
+def _inertia_case(i):
+    """Char poly at the anchor, and every rational eigenvalue of a subtree
+    below it, which includes every rational sigma where a pivot vanishes."""
+    tree, anchor = INERTIA_CASES[i]
+    order, cls = tree.shape_classes(anchor)
+    reps = {cls[v]: v for v in order}.values()
+    pool = set().union(*(_rational_roots(char_poly(tree, w)) for w in reps))
+    return char_poly(tree, anchor), sorted(pool)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_tree_inertia_property(data):
+    i = data.draw(st.integers(0, len(INERTIA_CASES) - 1))
+    tree, anchor = INERTIA_CASES[i]
+    p, pool = _inertia_case(i)
+    sigmas = st.fractions(-4, 4, max_denominator=6)
+    if pool:
+        sigmas = st.sampled_from(pool) | sigmas
+    sigma = data.draw(sigmas)
+    inertia = tree_inertia(tree, sigma, at=anchor)
+    assert inertia == pivot_inertia(tree, sigma, at=anchor)
+    assert (inertia.below, inertia.at) == _sturm_counts(p, sigma)
+    assert inertia.below + inertia.at + inertia.above == p.degree
 
 
 def test_inertia_zero_pivot_path():
