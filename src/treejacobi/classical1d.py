@@ -8,7 +8,8 @@ three-term recursion
 
 with p_{-1} = 0, p_0 = 1 and q_0 = 0, q_1 = 1/lambda_0.  Sequence rules
 are closures over the index with a mandatory depth cap; nothing here
-evaluates an infinite object.
+evaluates an infinite object.  This is a leaf layer: it imports no other
+treejacobi module.
 """
 
 from __future__ import annotations
@@ -16,10 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
-
-from .errors import PositivityError
-from .spectra import tree_inertia
-from .treecore import TreeTruncation, path_tree
 
 
 @dataclass(frozen=True)
@@ -44,10 +41,6 @@ class ClassicalJacobi:
     def _check(self, n: int):
         if not 0 <= n <= self.depth_cap:
             raise ValueError(f"index {n} beyond depth cap {self.depth_cap}")
-
-    def path_truncation(self, depth: int) -> TreeTruncation:
-        """The same matrix as a degenerate tree truncation of given depth."""
-        return path_tree(depth, lam=self.lam_at, beta=self.beta_at)
 
 
 def classical(lam, beta, depth_cap: int) -> ClassicalJacobi:
@@ -158,30 +151,3 @@ def kernel_vector_residuals(j: ClassicalJacobi, count: int) -> list[Fraction]:
         out.append(acc)
     return out
 
-
-# ---------------------------------------------------------------------
-# sign vector for positive-definite path matrices
-# ---------------------------------------------------------------------
-
-
-def positivity_sign_vector(j: ClassicalJacobi, count: int) -> list[Fraction]:
-    """(-1)^n p_n(0) for n <= count; every entry is provably positive when
-    the (count+1)-point path truncation is positive definite, which is
-    checked first (ValueError when it is not).  A nonpositive entry past
-    that certification raises PositivityError."""
-    tree = j.path_truncation(count)
-    inertia = tree_inertia(tree, Fraction(0))
-    if inertia.below > 0 or inertia.at > 0:
-        raise ValueError(
-            f"path truncation is not positive definite "
-            f"(below={inertia.below}, zero={inertia.at})")
-    p, _ = pq_values(j, Fraction(0), count)
-    out = []
-    for n, value in enumerate(p):
-        signed = value if n % 2 == 0 else -value
-        if signed <= 0:
-            raise PositivityError(
-                f"(-1)^n p_n(0) <= 0 at n={n} despite a positive definite "
-                f"truncation")
-        out.append(signed)
-    return out

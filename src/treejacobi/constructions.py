@@ -18,8 +18,9 @@ exact evidence its defining property demands:
 Positivity certificates: ``check_positivity_certificate`` verifies the
 pointwise certificate inequality, and ``construct_positivity_certificate``
 produces an exact equality-mode certificate for a positive-definite
-truncation by Schur-reducing the side subtrees onto the path; the pivots
-come from the one tree elimination, `TreeTruncation.class_ratios`.
+truncation from one tree elimination at 0, `TreeTruncation.class_ratios`:
+the signs of its ratios decide positive definiteness, and the ratios
+carry the certificate down from the top.
 """
 
 from __future__ import annotations
@@ -28,9 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classical1d import (ClassicalJacobi, classical,
-                          positivity_sign_vector, pq_square_sum,
-                          recurrence_values)
+from .classical1d import classical, pq_square_sum, recurrence_values
 from .errors import ConstructionError, PositivityError
 from .exactmath import GaussianRational, I, format_rational
 from .solutions import (GrowthProfile, GrowthRow, PropagationResult,
@@ -126,45 +125,42 @@ def _fill_sides(tree: TreeTruncation, path: PathSelection,
 @dataclass
 class CertificateConstruction:
     certificate: PositivityCertificate
-    reduced_diagonal: list[Fraction]
     side_mass: list[Fraction]
     regularized_side_mass: list[Fraction]
     regularized_m: dict[int, Fraction]
 
 
 def construct_positivity_certificate(tree: TreeTruncation,
-                                     path: PathSelection | None = None,
                                      n_reg: int = 1) -> CertificateConstruction:
     """Produce a positive function m with exact equality
 
         beta_v m(v) = lambda_v m(parent v) + sum_c lambda_c m(c)
 
-    at every non-top vertex of a positive-semidefinite truncation.
+    at every non-top vertex of a positive-definite truncation, normalized
+    to 1 at the origin x_0 of `default_path`.
 
-    Every side subtree hanging off the path is Schur-reduced exactly onto
-    its path vertex; the reduced path matrix (diagonal beta - side mass)
-    is positive definite whenever the truncation is, its alternating-sign
-    first-kind values at 0 give the path part of m, and the class ratios
-    at 0 (`TreeTruncation.class_ratios`) carry those values down the side
-    subtrees.  The regularized resolvent column
-    (1/n_reg I + sign-flipped J)^{-1} delta at the path origin is also
-    computed, as a strictly positive witness and a cross-check on the side
-    masses."""
-    if path is None:
-        path = default_path(tree)
-    if not path.reaches_top():
-        raise ValueError("certificate construction needs a path to the top")
-    inertia = tree_inertia(tree, Fraction(0))
-    if inertia.below != 0:
+    One tree elimination at 0 (`TreeTruncation.class_ratios`) decides and
+    builds it.  There r(v) = -lambda_v / (Schur pivot of J at v), with None
+    for a zero pivot and 0 above one, so J is positive definite exactly
+    when every ratio is negative; m(w) = -r(w) m(parent w), taken from the
+    top down, is then the equation above at every non-top vertex.  The
+    side subtree at s folds onto its path vertex with the Schur mass
+    lambda_s^2 / pivot(s) = -lambda_s r(s).  The regularized resolvent
+    column (1/n_reg I + sign-flipped J)^{-1} delta at the path origin is
+    also computed, as a strictly positive witness and a cross-check on the
+    side masses."""
+    path = default_path(tree)
+    order, cls, ratio, _ = tree.class_ratios(tree.top, Fraction(0))
+    bad = next((v for v in order
+                if ratio[cls[v]] is None or ratio[cls[v]] >= 0), None)
+    if bad is not None:
         raise PositivityError(
-            f"truncation has {inertia.below} negative eigenvalues; "
-            f"no positivity certificate exists")
+            f"Schur pivot at {tree.ids[bad]!r} is not positive; the "
+            f"truncation is not positive definite and no positivity "
+            f"certificate exists")
     if n_reg < 1:
         raise ValueError("n_reg must be a positive integer")
     m_reg = _regularized_witness(tree, path, Fraction(1, n_reg))
-    # the side subtree at s folds onto its path vertex with the Schur mass
-    # lambda_s^2 / pivot(s) = -lambda_s r(s)
-    _, cls, ratio, _ = tree.class_ratios(tree.top, Fraction(0))
     masses: list[Fraction] = []
     masses_reg: list[Fraction] = []
     for k in range(len(path)):
@@ -173,22 +169,14 @@ def construct_positivity_certificate(tree: TreeTruncation,
                            Fraction(0)))
         masses_reg.append(sum((tree.lam[s] * m_reg[s] for s in sides),
                               Fraction(0)) / m_reg[path[k]])
-    reduced = [tree.beta[path[k]] - masses[k] for k in range(len(path))]
-    lam_path = [tree.lam[v] for v in path.vertices]
-    j_reduced = ClassicalJacobi(lambda n: lam_path[n], lambda n: reduced[n],
-                                len(path) - 1)
-    try:
-        m_path = positivity_sign_vector(j_reduced, len(path) - 1)
-    except ValueError as exc:
-        raise PositivityError(
-            f"Schur-reduced path matrix not positive definite: {exc}") from exc
-    m: dict[int, Fraction] = {}
-    for k, v in enumerate(path.vertices):
-        m[v] = m_path[k]
-    _fill_sides(tree, path, cls, ratio, m)
-    cert = PositivityCertificate(tree, m, "equality")
+    m = {tree.top: Fraction(1)}
+    for w in tree.descendants(tree.top)[1:]:
+        m[w] = -ratio[cls[w]] * m[tree.parent[w]]
+    origin = m[path[0]]
+    m = {v: x / origin for v, x in m.items()}
     _verify_equality_certificate(tree, m)
-    return CertificateConstruction(cert, reduced, masses, masses_reg, m_reg)
+    return CertificateConstruction(PositivityCertificate(tree, m, "equality"),
+                                   masses, masses_reg, m_reg)
 
 
 def _regularized_witness(tree: TreeTruncation, path: PathSelection,
@@ -627,22 +615,22 @@ def _kill_beta(block: _Block) -> tuple[Fraction, int]:
     """The diagonal value at the block root that forces the interior
     solution at 0 to vanish one level above the root.
 
-    The block below the root is positive definite (checked), so every
-    class ratio r(c) = f(c)/f(root) at 0 is finite, and the interior
-    solution space at 0 is one-dimensional (checked by elimination); the
-    eigen-equation at the root with f(above) = 0 then gives the diagonal
+    The blocks below the root are positive definite (checked: every class
+    ratio at 0 below the root is negative), so every class ratio
+    r(c) = f(c)/f(root) at 0 is finite, and the interior solution space at
+    0 is one-dimensional (checked by elimination); the eigen-equation at
+    the root with f(above) = 0 then gives the diagonal
     -sum_c lambda_c r(c)."""
     t = block.tree
-    for c in t.children[0]:
-        sub = tree_inertia(t, Fraction(0), at=c)
-        if sub.below != 0 or sub.at != 0:
-            raise ConstructionError(
-                "side block below the kill vertex is not positive definite")
+    _, cls, ratio, _ = t.class_ratios(t.top, Fraction(0))
+    # the root's class is the last one: no vertex below shares its subtree
+    if any(r is None or r >= 0 for r in ratio[:-1]):
+        raise ConstructionError(
+            "side block below the kill vertex is not positive definite")
     dim = uniqueness_dimension(t, t.top, Fraction(0))
     if dim != 1:
         raise ConstructionError(
             f"interior solution space at 0 has dimension {dim}, expected 1")
-    _, cls, ratio, _ = t.class_ratios(t.top, Fraction(0))
     return -sum((t.lam[c] * ratio[cls[c]] for c in t.children[0]),
                 Fraction(0)), dim
 

@@ -5,8 +5,8 @@ import pytest
 
 from treejacobi.classical1d import (classical, even_reduction_residuals,
                                     geometric_family, kernel_vector_residuals,
-                                    positivity_sign_vector, pq_square_sum,
-                                    pq_values, recurrence_values)
+                                    pq_square_sum, pq_values,
+                                    recurrence_values)
 from treejacobi.exactmath import GaussianRational
 
 
@@ -62,22 +62,6 @@ def test_geometric_family_even_reduction():
         s0 = F(rng.randint(-8, 8), rng.randint(1, 5))
         s1 = F(rng.randint(-8, 8), rng.randint(1, 5))
         assert all(r == 0 for r in even_reduction_residuals(g, s0, s1, 30))
-
-
-def test_sign_vector_positive_definite():
-    j = classical(1, 4, 30)
-    sv = positivity_sign_vector(j, 12)
-    assert all(s > 0 for s in sv)
-    assert sv[0] == 1 and sv[1] == 4 and sv[2] == 15  # det of leading blocks
-
-
-def test_sign_vector_rejects_indefinite():
-    with pytest.raises(ValueError):
-        positivity_sign_vector(classical(1, 0, 20), 5)
-
-
-def test_one_point_sign_vector():
-    assert positivity_sign_vector(classical(1, 4, 4), 0) == [F(1)]
 
 
 def test_square_sum_trend_for_growing_weights():

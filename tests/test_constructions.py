@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from conftest import cut_shape_corpus, random_corpus, random_lambda
+from treejacobi import constructions
 from treejacobi.constructions import (bounded_base_radius_ok,
                                       build_path_perturbed_homogeneous,
                                       build_pendant_path,
@@ -121,6 +122,45 @@ def test_construct_certificate_rejects_indefinite():
     h = homogeneous_tree(2, 2)  # zero diagonal: indefinite
     with pytest.raises(PositivityError):
         construct_positivity_certificate(h)
+
+
+def test_construct_certificate_rejects_singular_semidefinite():
+    # J = [[1, 1], [1, 1]] has eigenvalues 0 and 2: the pivot at x is 0
+    star = build_from_spec("""
+    {"vertices": [
+      {"id": "a", "parent": "x", "level": 0, "lambda": "1/1", "beta": "1/1"},
+      {"id": "x", "level": 1, "beta": "1/1"}],
+     "top": "x", "top_lambda": "1/1"}
+    """)
+    assert tree_inertia(star, F(0)).below == 0
+    with pytest.raises(PositivityError, match="'x'"):
+        construct_positivity_certificate(star)
+
+
+def _count_eliminations(monkeypatch) -> list:
+    """Record every `class_ratios` point and every `tree_inertia` call."""
+    calls = []
+    class_ratios = TreeTruncation.class_ratios
+
+    def counted_ratios(self, root, z):
+        calls.append(("class_ratios", z))
+        return class_ratios(self, root, z)
+
+    def counted_inertia(*args, **kwargs):
+        calls.append(("tree_inertia",))
+        return tree_inertia(*args, **kwargs)
+
+    monkeypatch.setattr(TreeTruncation, "class_ratios", counted_ratios)
+    monkeypatch.setattr(constructions, "tree_inertia", counted_inertia)
+    return calls
+
+
+def test_certificate_makes_one_elimination_at_zero(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    construct_positivity_certificate(homogeneous_tree(2, 3, beta=F(4)),
+                                     n_reg=7)
+    assert sorted(calls) == [("class_ratios", F(-1, 7)),
+                             ("class_ratios", F(0))]
 
 
 def test_regularized_masses_approach_exact():
@@ -268,6 +308,12 @@ def test_obstruction_depths():
             for c in res.tree.children[y]:
                 inertia = tree_inertia(res.tree, F(0), at=c)
                 assert inertia.below == 0 and inertia.at == 0
+
+
+def test_kill_beta_reads_no_inertia(monkeypatch):
+    calls = _count_eliminations(monkeypatch)
+    build_real_obstruction(3)
+    assert ("tree_inertia",) not in calls
 
 
 def test_kill_betas_match_family_values():

@@ -1,6 +1,10 @@
-"""Each module under src/ keeps its private names to itself: a name with a
-leading underscore is never imported from another module, not even
-inside a function."""
+"""Module boundaries under src/:
+
+* each module keeps its private names to itself: a name with a leading
+  underscore is never imported from another module, not even inside a
+  function;
+* the modules form layers, and each imports only layers below its own,
+  so `classical1d` is a leaf next to `exactmath`."""
 
 import ast
 from pathlib import Path
@@ -8,6 +12,8 @@ from pathlib import Path
 import treejacobi
 
 SRC = Path(treejacobi.__file__).resolve().parent
+LAYERS = ("errors", "exactmath", "classical1d", "treecore", "treepoly",
+          "spectra", "solutions", "constructions", "reports", "cli")
 
 
 def private_imports(path: Path) -> list[str]:
@@ -21,8 +27,39 @@ def private_imports(path: Path) -> list[str]:
     return found
 
 
+def package_imports(path: Path) -> set[str]:
+    """The treejacobi modules a source file imports, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names = [alias.name.split(".") for alias in node.names]
+            found.update(n[1] for n in names
+                         if n[0] == "treejacobi" and len(n) > 1)
+        elif isinstance(node, ast.ImportFrom):
+            parts = (node.module or "").split(".")
+            if node.level == 0:
+                if parts[0] != "treejacobi":
+                    continue
+                parts = parts[1:] or [""]
+            if parts[0]:
+                found.add(parts[0])
+            else:  # from . import a, b
+                found.update(alias.name for alias in node.names)
+    return found
+
+
 def test_no_module_imports_a_private_name_of_another():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10
     assert [line for m in modules for line in private_imports(m)] == []
 
+
+def test_modules_import_only_lower_layers():
+    modules = {p.stem for p in SRC.glob("*.py")} - {"__init__", "__main__"}
+    assert modules == set(LAYERS)
+    upward = []
+    for rank, name in enumerate(LAYERS):
+        for dep in sorted(package_imports(SRC / f"{name}.py")):
+            if dep not in LAYERS[:rank]:
+                upward.append(f"{name} imports {dep}")
+    assert upward == []

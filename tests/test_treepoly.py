@@ -1,10 +1,12 @@
 import random
 from fractions import Fraction as F
 
-from conftest import exhaustive_corpus, random_corpus, random_lambda, random_beta
+from conftest import (cut_shape_corpus, exhaustive_corpus, h23, h24,
+                      random_beta, random_corpus, random_lambda)
 from treejacobi.exactmath import I, ONE, Poly, X
 from treejacobi.treecore import build_from_spec, homogeneous_tree, path_tree
-from treejacobi.treepoly import (degree_law_report, divisibility_report,
+from treejacobi.treepoly import (FamilyReport, PolyFamily, VertexCheck,
+                                 degree_law_report, divisibility_report,
                                  family, interlacing_report)
 
 STAR = """
@@ -49,6 +51,54 @@ def test_divisibility_on_corpus():
     for tree in exhaustive_corpus(5) + random_corpus(31, 10):
         rep = divisibility_report(family(tree))
         assert rep.ok, rep.failures()
+
+
+def divisibility_scan(fam: PolyFamily) -> FamilyReport:
+    """Reference for `divisibility_report`: the division P(c, t) | P(v, t)
+    itself for every child c of every v and every t in the closed subtree
+    below c, then t = v; a failure names the first failing (c, t)."""
+    rep = FamilyReport()
+    t = fam.tree
+    for v in sorted(fam.vertices()):
+        name = t.ids[v]
+        bad = None
+        for c in t.children[v]:
+            for s in t.descendants(c) + [v]:
+                target = None if s == v else s
+                big = fam.entry(v, s)
+                small = fam.entry(c, target) if target is not None else fam.up_poly[c]
+                q, r = divmod(big, small)
+                if not r.is_zero:
+                    bad = (c, s)
+                    break
+            if bad:
+                break
+        if bad:
+            rep.checks.append(VertexCheck(
+                name, False,
+                f"P({t.ids[bad[0]]}, {t.ids[bad[1]]}) does not divide "
+                f"P({name}, {t.ids[bad[1]]})"))
+        else:
+            rep.checks.append(VertexCheck(name, True))
+    return rep
+
+
+def test_divisibility_per_edge_matches_scan():
+    trees = ([h23(), h24()] + exhaustive_corpus(6) + random_corpus(7, 60)
+             + cut_shape_corpus(6))
+    for tree in trees:
+        fam = family(tree)
+        assert divisibility_report(fam) == divisibility_scan(fam)
+
+
+def test_divisibility_flags_a_replaced_self_poly():
+    tree = h23()
+    fam = family(tree)
+    v = next(u for u in fam.vertices() if tree.level[u] == 1)
+    fam.self_poly[v] = fam.self_poly[v] + ONE  # == 1 mod every child's up_poly
+    c, name = tree.ids[tree.children[v][0]], tree.ids[v]
+    assert divisibility_report(fam).failures() == [VertexCheck(
+        name, False, f"P({c}, {name}) does not divide P({name}, {name})")]
 
 
 def test_interlacing_random_homogeneous():

@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from treejacobi.classical1d import ClassicalJacobi, positivity_sign_vector
 from treejacobi.spectra import Inertia
 from treejacobi.treecore import PathSelection, TreeTruncation
 
@@ -136,10 +135,10 @@ class CertificateOracle:
 def certificate_oracle(tree: TreeTruncation, path: PathSelection,
                        n_reg: int = 1) -> CertificateOracle:
     """The equality certificate of a positive-definite truncation by
-    explicit solves: each side subtree's Schur mass lambda_s^2 (M_s^-1)_ss
-    and its values from the block system, and the regularized witness
-    from the whole system, where M is the sign-flipped truncation
-    (diagonal beta, off-diagonal -lambda)."""
+    explicit solves, where M is the sign-flipped truncation (diagonal
+    beta, off-diagonal -lambda): each side subtree's Schur mass
+    lambda_s^2 (M_s^-1)_ss from its block, m = M^-1 delta_top and the
+    regularized witness from the whole system, both normalized at x_0."""
     off = {v: -tree.lam[v] for v in range(tree.size)}
 
     def sides(k):
@@ -153,16 +152,10 @@ def certificate_oracle(tree: TreeTruncation, path: PathSelection,
             w = tree_solve(tree, tree.beta, off, {s: Fraction(1)}, at=s)
             total += tree.lam[s] ** 2 * w[s]
         masses.append(total)
-    reduced = [tree.beta[v] - mass for v, mass in zip(path.vertices, masses)]
-    lam_path = [tree.lam[v] for v in path.vertices]
-    m_path = positivity_sign_vector(
-        ClassicalJacobi(lambda n: lam_path[n], lambda n: reduced[n],
-                        len(path) - 1), len(path) - 1)
-    m = dict(zip(path.vertices, m_path))
-    for k in range(len(path)):
-        for s in sides(k):
-            m.update(tree_solve(tree, tree.beta, off,
-                                {s: tree.lam[s] * m[path[k]]}, at=s))
+    # M m is a positive multiple of delta_top: equality at every non-top
+    # vertex
+    m = tree_solve(tree, tree.beta, off, {tree.top: Fraction(1)})
+    m = {v: x / m[path[0]] for v, x in m.items()}
     eps = Fraction(1, n_reg)
     f = tree_solve(tree, {v: eps + tree.beta[v] for v in range(tree.size)},
                    off, {path[0]: Fraction(1)})
