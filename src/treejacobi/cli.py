@@ -161,22 +161,34 @@ def _cmd_wronskian(args, argv) -> int:
                    {"path": path.ids, "steps": rows}, failures)
 
 
-def _make_generator(spec: str, path_lambda: str):
+def _generated_tree(spec: str, path_lambda: str, depths: list[int],
+                    z: GaussianRational) -> TreeTruncation:
+    """The generator's tree at the deepest depth.  Its subtree below x_n
+    of the leftmost path is, weights included, the generator's tree at
+    depth n: lambda is level + 1 on the leftmost path under the linear
+    rule and 1 everywhere else.  Bad input fails before the tree is built,
+    with the message the shallowest depth gives."""
     kind, _, arg = spec.partition(":")
-    if kind == "homogeneous":
-        try:
-            d = int(arg)
-        except ValueError:
-            raise ValueError(f"unknown generator {spec!r}") from None
-        one = Fraction(1)
-        if path_lambda == "linear":
-            def lam(lv, addr):
-                return one if any(addr) else Fraction(lv + 1)
-        else:
-            def lam(lv, addr):
-                return one
-        return lambda depth: homogeneous_tree(d, depth, lam=lam)
-    raise ValueError(f"unknown generator {spec!r}")
+    if kind != "homogeneous":
+        raise ValueError(f"unknown generator {spec!r}")
+    try:
+        d = int(arg)
+    except ValueError:
+        raise ValueError(f"unknown generator {spec!r}") from None
+    if d < 1:
+        raise ValueError("branching d must be >= 1")
+    if min(depths) < 0:
+        raise ValueError("depth must be >= 0")
+    if z.im == 0:
+        raise ValueError("solve_pair needs a nonreal z; use propagate_real")
+    one = Fraction(1)
+    if path_lambda == "linear":
+        def lam(lv, addr):
+            return one if any(addr) else Fraction(lv + 1)
+    else:
+        def lam(lv, addr):
+            return one
+    return homogeneous_tree(d, max(depths), lam=lam)
 
 
 def _cmd_growth(args, argv) -> int:
@@ -189,8 +201,8 @@ def _cmd_growth(args, argv) -> int:
             raise ValueError("the small-norm generator is built at z = i")
         profile = constructions.small_norm_profile(depths)
     else:
-        make_tree = _make_generator(args.generator, args.path_lambda)
-        profile = solutions.growth_profile(make_tree, z, depths)
+        tree = _generated_tree(args.generator, args.path_lambda, depths, z)
+        profile = solutions.growth_profile(tree, z, depths)
     results = {
         "generator": args.generator,
         "rows": profile.rows,
@@ -321,11 +333,16 @@ def _suite_items(tree: TreeTruncation, seed: int, z: GaussianRational):
             Fraction(rng.randint(-6, 6), rng.randint(1, 4)),
             Fraction(rng.choice([1, -1]) * rng.randint(1, 6), rng.randint(1, 4))))
 
-    # each spectral parameter is solved once; errors still surface in the
-    # first item that needs the solve
+    # the characteristic polynomial is built once and each spectral
+    # parameter is solved once; errors still surface in the first item
+    # that needs them
     @functools.cache
     def path():
         return default_path(tree)
+
+    @functools.cache
+    def char():
+        return spectra.char_poly(tree)
 
     @functools.cache
     def pair_at(w):
@@ -343,7 +360,7 @@ def _suite_items(tree: TreeTruncation, seed: int, z: GaussianRational):
         return rep.ok, {"failures": [c.vertex for c in rep.failures()]}
 
     def identity():
-        return spectra.verify_spectral_identity(fam), {}
+        return spectra.verify_spectral_identity(fam, char()), {}
 
     def witnesses():
         checks = spectra.eigenvector_witness_report(fam)
@@ -380,7 +397,7 @@ def _suite_items(tree: TreeTruncation, seed: int, z: GaussianRational):
         return pair.v.nonvanishing() and pair.v.verify() and pair.u.verify(), {}
 
     def negative_count():
-        sturm = spectra.count_negative_eigenvalues(tree)
+        sturm = spectra.count_negative_eigenvalues(char())
         inertia = spectra.tree_inertia(tree, Fraction(0)).below
         return sturm == inertia, {"sturm": sturm, "inertia": inertia}
 
@@ -415,7 +432,9 @@ def _cmd_verify_all(args, argv) -> int:
 # ---------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: parsing keeps no state in it."""
     ap = argparse.ArgumentParser(
         prog="treejacobi",
         description="exact computations with Jacobi matrices on one-ended trees")

@@ -32,8 +32,8 @@ from fractions import Fraction
 from .classical1d import classical, pq_square_sum, recurrence_values
 from .errors import ConstructionError, PositivityError
 from .exactmath import GaussianRational, I, format_rational
-from .solutions import (GrowthProfile, GrowthRow, PropagationResult,
-                        SolutionField, SolutionPair, propagate_real,
+from .solutions import (GrowthProfile, PropagationResult, SolutionField,
+                        SolutionPair, nested_profile, propagate_real,
                         solve_pair, uniqueness_dimension)
 from .spectra import tree_inertia, eigenvalues_outside
 from .treecore import (PathSelection, TreeTruncation, decorated_path_tree,
@@ -375,12 +375,11 @@ class PerturbedHomogeneousResult:
     path_weights: list[Fraction]
 
 
-def build_path_perturbed_homogeneous(d: int, depth: int,
-                                     path_weight=default_path_weight
+def build_path_perturbed_homogeneous(d: int, depth: int
                                      ) -> PerturbedHomogeneousResult:
     """The sum of the norm-bounded homogeneous matrix (all weights
     d^(-1/2), zero diagonal; truncations stay inside [-2, 2]) and the
-    degenerate path matrix with weights `path_weight(n)` along the
+    degenerate path matrix with weights `default_path_weight(n)` along the
     leftmost path.  d must be a perfect square so the base weight stays
     rational."""
     root = math.isqrt(d)
@@ -392,9 +391,7 @@ def build_path_perturbed_homogeneous(d: int, depth: int,
     w = Fraction(1, root)
     base = homogeneous_tree(d, depth, lam=w, beta=Fraction(0))
     path = default_path(base)
-    weights = [Fraction(path_weight(n)) for n in range(len(path))]
-    if any(x <= 0 for x in weights):
-        raise ValueError("path weights must be positive")
+    weights = [default_path_weight(n) for n in range(len(path))]
     on_path = {v: k for k, v in enumerate(path.vertices)}
     lam = [base.lam[v] + weights[on_path[v]] if v in on_path else base.lam[v]
            for v in range(base.size)]
@@ -561,13 +558,15 @@ def build_real_obstruction(depth: int) -> ObstructionResult:
     kill_betas: list[Fraction] = []
     dims: list[int] = []
     for k in range(depth):
-        block = _binary_block(f"y{k}", k)
+        # y_k over a full binary block, renamed r... -> y{k}...
+        block = homogeneous_tree(2, k, beta=lambda lv, addr: 4 if addr else 0)
+        name = [f"y{k}{r[1:]}" for r in block.ids]
         beta_y, dim = _kill_beta(block)
         kill_betas.append(beta_y)
         dims.append(dim)
-        add(f"y{k}", f"x{k + 1}", k, 1, beta_y)
-        for name, parent, level in block.interior_rows:
-            add(name, parent, level, 1, 4)
+        add(name[0], f"x{k + 1}", k, 1, beta_y)
+        for v in range(1, block.size):
+            add(name[v], name[block.parent[v]], block.level[v], 1, 4)
     index = {name: i for i, name in enumerate(ids)}
     tree = TreeTruncation(
         ids, index[f"x{depth}"],
@@ -577,41 +576,7 @@ def build_real_obstruction(depth: int) -> ObstructionResult:
     return ObstructionResult(tree, kill_betas, dims, prop)
 
 
-@dataclass
-class _Block:
-    tree: TreeTruncation           # y_k with its binary block, y_k as top
-    interior_rows: list[tuple[str, str, int]]  # (id, parent id, level)
-
-
-def _binary_block(root: str, level: int) -> _Block:
-    """The side vertex `root` at the given level with a full binary tree
-    below it (two children per vertex down to level 0)."""
-    ids = [root]
-    parents: list[str | None] = [None]
-    levels = [level]
-    rows: list[tuple[str, str, int]] = []
-
-    def grow(parent: str, lv: int):
-        for j in range(2):
-            name = f"{parent}.{j}"
-            ids.append(name)
-            parents.append(parent)
-            levels.append(lv)
-            rows.append((name, parent, lv))
-            if lv > 0:
-                grow(name, lv - 1)
-
-    if level > 0:
-        grow(root, level - 1)
-    index = {name: i for i, name in enumerate(ids)}
-    tree = TreeTruncation(
-        ids, 0, [None if p is None else index[p] for p in parents],
-        levels, [Fraction(1)] * len(ids),
-        [Fraction(0) if i == 0 else Fraction(4) for i in range(len(ids))])
-    return _Block(tree, rows)
-
-
-def _kill_beta(block: _Block) -> tuple[Fraction, int]:
+def _kill_beta(t: TreeTruncation) -> tuple[Fraction, int]:
     """The diagonal value at the block root that forces the interior
     solution at 0 to vanish one level above the root.
 
@@ -621,7 +586,6 @@ def _kill_beta(block: _Block) -> tuple[Fraction, int]:
     0 is one-dimensional (checked by elimination); the eigen-equation at
     the root with f(above) = 0 then gives the diagonal
     -sum_c lambda_c r(c)."""
-    t = block.tree
     _, cls, ratio, _ = t.class_ratios(t.top, Fraction(0))
     # the root's class is the last one: no vertex below shares its subtree
     if any(r is None or r >= 0 for r in ratio[:-1]):
@@ -637,23 +601,20 @@ def _kill_beta(block: _Block) -> tuple[Fraction, int]:
 
 def small_norm_profile(depths) -> GrowthProfile:
     """Norm profile of the norm-capped construction, measured on its own
-    solution (stage norms of one deterministic build; stages are prefixes
-    of deeper builds, so one build at the maximum depth covers all rows)."""
+    solution: stages are prefixes of deeper builds, so one build at the
+    maximum depth gives every row, and stage n adds x_n, its side chain
+    and the ledger's side and top norms."""
     depths = list(depths)
     if not depths or min(depths) < 1:
         raise ValueError("profile depths must be positive")
-    top = max(depths)
-    res = build_small_norm_pair(top)
-    by_stage = {row.n: row.total_norm2 for row in res.ledger}
-    tree = res.tree
-    rows = []
-    for d in depths:
-        stage_top = tree.index_of(f"x{d}")
-        carleman = sum((Fraction(1) / tree.lam[tree.index_of(f"x{k}")]
-                        for k in range(d + 1)), Fraction(0))
-        rows.append(GrowthRow(d, len(tree.descendants(stage_top)),
-                              by_stage[d], carleman))
-    return GrowthProfile.from_rows(rows)
+    res = build_small_norm_pair(max(depths))
+    tree, path = res.tree, res.path
+    sizes = [1 + sum(len(tree.descendants(s))
+                     for s in _side_roots(tree, path, k))
+             for k in range(len(path))]
+    norms = [res.solution.value(path[0]).abs2()]
+    norms += [row.side_norm2 + row.top_value_norm2 for row in res.ledger]
+    return nested_profile(path, depths, sizes, norms)
 
 
 # ---------------------------------------------------------------------
@@ -661,11 +622,9 @@ def small_norm_profile(depths) -> GrowthProfile:
 # ---------------------------------------------------------------------
 
 
-def path_weight_square_sum_window(path_weight=default_path_weight,
-                                  lower: int = 20, upper: int = 30
-                                  ) -> Fraction:
-    """Increase of the partial sums of p_n(0)^2 + q_n(0)^2 between the two
-    indices for the diagonal-free classical matrix with the given path
-    weights (exact)."""
-    j = classical(path_weight, Fraction(0), upper + 1)
-    return pq_square_sum(j, Fraction(0), upper) - pq_square_sum(j, Fraction(0), lower)
+def path_weight_square_sum_window() -> Fraction:
+    """Increase of the partial sums of p_n(0)^2 + q_n(0)^2 from index 20
+    to index 30 for the diagonal-free classical matrix with the weights
+    `default_path_weight` (exact)."""
+    j = classical(default_path_weight, Fraction(0), 31)
+    return pq_square_sum(j, Fraction(0), 30) - pq_square_sum(j, Fraction(0), 20)

@@ -27,7 +27,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from itertools import accumulate
+from typing import Iterable
 
 from .classical1d import recurrence_values
 from .errors import ValidationError
@@ -94,10 +95,6 @@ class SolutionPair:
     side: tuple[SideReduction, ...]
 
 
-def _gr(x) -> GaussianRational:
-    return x if isinstance(x, GaussianRational) else GaussianRational.of(x)
-
-
 @dataclass
 class _PathReduction:
     """A nonreal z and a path, with every subtree reduced once per class
@@ -123,7 +120,8 @@ class _PathReduction:
 
     def u_path(self) -> list:
         """u along the path: u(x_0) = 0, u(x_1) = 1/lambda_{x_0}."""
-        return self._recur(_ZERO, _gr(Fraction(1) / self.lam[0]))
+        return self._recur(_ZERO,
+                           GaussianRational.of(Fraction(1) / self.lam[0]))
 
     def _recur(self, seed0, seed1) -> list:
         return recurrence_values(self.lam.__getitem__, self.diag.__getitem__,
@@ -136,7 +134,7 @@ def _reduce_path(tree: TreeTruncation, path: PathSelection,
     (`TreeTruncation.class_ratios`), which is self_poly[c](z) /
     up_poly[c](z) with the family recursion divided through by
     self_poly[c](z); then the side reductions."""
-    z = _gr(z)
+    z = GaussianRational.of(z)
     if z.im == 0:
         raise ValueError("solve_pair needs a nonreal z; use propagate_real")
     if tree.level[path[0]] != 0:
@@ -462,40 +460,58 @@ class GrowthProfile:
     indicator = ("finite-depth indicator; infinite-tree conclusions are "
                  "not decided by truncations")
 
-    @classmethod
-    def from_rows(cls, rows: list[GrowthRow]) -> "GrowthProfile":
-        """Summarize rows given in increasing depth."""
-        steps = list(zip(rows, rows[1:]))
-        return cls(rows,
-                   all(a.norm2 < b.norm2 for a, b in steps),
-                   all(row.norm2 <= 1 for row in rows),
-                   all(a.carleman_sum < b.carleman_sum for a, b in steps))
+
+def nested_profile(path: PathSelection, depths: Iterable[int],
+                   sizes: list[int], norms: list[Fraction]) -> GrowthProfile:
+    """The rows at `depths` of the nested truncations below the vertices
+    x_n of `path`, in increasing depth.  `sizes[k]` and `norms[k]` are the
+    vertex count and the squared norm that x_k and its side subtrees add
+    to the truncation below x_{k-1}; the row at depth n takes their sums
+    over k <= n, and the Carleman sum of 1/lambda_{x_k} over k <= n."""
+    lam = path.tree.lam
+    size = list(accumulate(sizes))
+    norm2 = list(accumulate(norms))
+    carleman = list(accumulate(Fraction(1) / lam[x] for x in path.vertices))
+    rows = []
+    for n in depths:
+        if not 0 <= n < len(path):
+            raise ValueError(f"depth {n} is not in 0..{len(path) - 1}")
+        rows.append(GrowthRow(n, size[n], norm2[n], carleman[n]))
+    steps = list(zip(rows, rows[1:]))
+    return GrowthProfile(rows,
+                         all(a.norm2 < b.norm2 for a, b in steps),
+                         all(row.norm2 <= 1 for row in rows),
+                         all(a.carleman_sum < b.carleman_sum for a, b in steps))
 
 
-def growth_profile(make_tree: Callable[[int], TreeTruncation],
-                   z: GaussianRational,
+def growth_profile(tree: TreeTruncation, z: GaussianRational,
                    depths: Iterable[int]) -> GrowthProfile:
-    """Tabulate at each depth the exact squared norm of the normalized
-    solution plus the partial sums of 1/lambda along the path.
+    """For each n in `depths`, the exact squared norm of the normalized
+    solution on the truncation below x_n of `default_path(tree)`, its
+    size, and the partial sum of 1/lambda along the path up to x_n.
 
-    No field is built: a side class c carries the mass
+    The truncations below x_0, x_1, ... are nested, and the solution on
+    each is the restriction of the one on the whole tree: the path values
+    up to x_n use the equations below x_n only, and a side subtree's ratios
+    depend on that subtree alone.  So one solve gives every row.  No field
+    is built: a side class c carries the mass
 
         S(c) = |r(c)|^2 (1 + sum_{d child of c} S(d)),
 
     the squared norm of the solution on its subtree relative to the
-    parent's value, so norm2 = sum_k |v(x_k)|^2 (1 + sum_{side y} S(y))."""
-    rows = []
-    for depth in depths:
-        tree = make_tree(depth)
-        path = default_path(tree)
-        red = _reduce_path(tree, path, z)
-        mass: list[Fraction] = []
-        for r, w in zip(red.ratio, red.rep):
-            mass.append(r.abs2() * (
-                1 + sum(mass[red.cls[d]] for d in tree.children[w])))
-        norm2 = Fraction(0)
-        for fv, ys in zip(red.v_path(), red.side_children):
-            norm2 += fv.abs2() * (1 + sum(mass[red.cls[y]] for y in ys))
-        carleman = sum((Fraction(1) / lam for lam in red.lam), Fraction(0))
-        rows.append(GrowthRow(depth, tree.size, norm2, carleman))
-    return GrowthProfile.from_rows(rows)
+    parent's value, so x_k adds |v(x_k)|^2 (1 + sum_{side y} S(y)) to the
+    squared norm, and 1 plus its side subtrees' class sizes to the size."""
+    path = default_path(tree)
+    red = _reduce_path(tree, path, z)
+    mass: list[Fraction] = []
+    count: list[int] = []
+    for r, w in zip(red.ratio, red.rep):
+        kids = [red.cls[d] for d in tree.children[w]]
+        mass.append(r.abs2() * (1 + sum(mass[c] for c in kids)))
+        count.append(1 + sum(count[c] for c in kids))
+    sizes, norms = [], []
+    for fv, ys in zip(red.v_path(), red.side_children):
+        sides = [red.cls[y] for y in ys]
+        sizes.append(1 + sum(count[c] for c in sides))
+        norms.append(fv.abs2() * (1 + sum(mass[c] for c in sides)))
+    return nested_profile(path, depths, sizes, norms)

@@ -119,8 +119,9 @@ def spectral_description(fam: PolyFamily, width=None) -> SpectralDescription:
         shared=tuple(shared))
 
 
-def verify_spectral_identity(fam: PolyFamily) -> bool:
-    """Exact check that the characteristic polynomial of the truncation
+def verify_spectral_identity(fam: PolyFamily, char: Poly) -> bool:
+    """Exact check that `char`, the characteristic polynomial of the
+    truncation below the anchor (`char_poly(fam.tree, fam.anchor)`),
     equals the monic up-polynomial at the anchor times all shared-root
     factors.  DivisionError from the factor assembly would falsify the
     identity; plain inequality returns False."""
@@ -128,13 +129,12 @@ def verify_spectral_identity(fam: PolyFamily) -> bool:
     rhs = _factor_product(fam.up_poly[fam.anchor],
                           (_shared_factor(fam, v) for v in fam.vertices()
                            if t.children[v]))
-    return char_poly(t, fam.anchor).monic() == rhs
+    return char.monic() == rhs
 
 
-def count_negative_eigenvalues(tree: TreeTruncation, at: int | None = None) -> int:
-    """Number of eigenvalues of the truncation in (-inf, 0), with
-    multiplicity, via Sturm counts on the characteristic polynomial."""
-    p = char_poly(tree, at)
+def count_negative_eigenvalues(p: Poly) -> int:
+    """Number of eigenvalues in (-inf, 0), with multiplicity, of a
+    truncation whose characteristic polynomial is p, via Sturm counts."""
     total = 0
     # strip eigenvalue 0 so the interval stays open at the right end
     while p(Fraction(0)) == 0:

@@ -45,7 +45,7 @@ def _main_corpus():
 
 
 def test_criterion_01_spectral_identity_oracle():
-    ok = all(verify_spectral_identity(family(tree))
+    ok = all(verify_spectral_identity(family(tree), char_poly(tree))
              for tree in _main_corpus() + cut_shape_corpus(6))
     _line(1, "spectral identity on exhaustive and random corpus", ok)
 
@@ -72,7 +72,7 @@ def test_criterion_03_star_worked_example():
           and fam.up_poly[x] == X * X - 2 * ONE
           and char_poly(star) == X * X * X - 2 * X
           and char_poly(star) == (X * X - 2 * ONE) * X
-          and verify_spectral_identity(fam))
+          and verify_spectral_identity(fam, char_poly(star)))
     _line(3, "star worked example", ok)
 
 
@@ -152,7 +152,7 @@ def test_criterion_09_geometric_family_checks():
 def test_criterion_10_positivity_certificates():
     h = homogeneous_tree(2, 4, lam=F(1), beta=F(4))
     verdict = check_positivity_certificate(h, unit_certificate(h))
-    ok = verdict.ok and count_negative_eigenvalues(h) == 0
+    ok = verdict.ok and count_negative_eigenvalues(char_poly(h)) == 0
     rng = random.Random(1010)
     built = 0
     while built < 20:
@@ -182,12 +182,9 @@ def test_criterion_11_real_value_obstruction():
 
 
 def test_criterion_12_growth_indicators():
-    def divergent(depth):
-        return homogeneous_tree(
-            2, depth,
-            lam=lambda lv, addr: F(lv + 1) if all(a == 0 for a in addr)
-            else F(1))
-
+    divergent = homogeneous_tree(
+        2, 15,
+        lam=lambda lv, addr: F(lv + 1) if all(a == 0 for a in addr) else F(1))
     profile = growth_profile(divergent, I, range(3, 16))
     ok = profile.strictly_increasing and profile.carleman_divergent_trend
     capped = build_small_norm_pair(15)

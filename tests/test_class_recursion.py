@@ -96,16 +96,21 @@ def _linear(lv, addr):
     (3, range(6), _linear),
 ], ids=["binary-unit", "binary-linear", "ternary-unit", "ternary-linear"])
 def test_growth_rows_equal_per_vertex_norms(z, d, depths, lam):
-    def make(depth):
-        return homogeneous_tree(d, depth, lam=lam)
-
-    profile = growth_profile(make, z, depths)
+    # the rows of one tree's nested truncations against a tree generated
+    # afresh at each depth
+    profile = growth_profile(homogeneous_tree(d, max(depths), lam=lam), z,
+                             depths)
     assert [row.depth for row in profile.rows] == list(depths)
-    assert _rows(profile) == _per_vertex_rows(map(make, depths), z)
+    fresh = (homogeneous_tree(d, depth, lam=lam) for depth in depths)
+    assert _rows(profile) == _per_vertex_rows(fresh, z)
 
 
 @pytest.mark.parametrize("z", ZS, ids=str)
 def test_growth_rows_equal_per_vertex_norms_random(z):
-    trees = [h23(), h24()] + random_corpus(11, 40)
-    profile = growth_profile(trees.__getitem__, z, range(len(trees)))
-    assert _rows(profile) == _per_vertex_rows(trees, z)
+    # every path depth against the field solved on the materialized
+    # subtree below x_n
+    for tree in [h23(), h24()] + random_corpus(11, 40):
+        xs = default_path(tree).vertices
+        profile = growth_profile(tree, z, range(len(xs)))
+        subtrees = [tree.subtree(x) for x in xs]
+        assert _rows(profile) == _per_vertex_rows(subtrees, z), tree

@@ -8,7 +8,8 @@ import jsonschema
 import pytest
 
 import treejacobi
-from treejacobi.cli import main
+from treejacobi import cli, spectra
+from treejacobi.cli import build_parser, main
 from treejacobi.reports import REPORT_SCHEMA
 from treejacobi.treecore import build_from_spec
 
@@ -244,12 +245,63 @@ def test_bad_input_exits_2_with_one_line(tmp_path, doc, args):
     (["--generator", "homogeneous:0"], "branching d must be >= 1"),
     (["--generator", "homogeneous:x"], "unknown generator 'homogeneous:x'"),
     (["--generator", "homogeneous"], "unknown generator 'homogeneous'"),
-], ids=["real-z", "branching-0", "branching-x", "no-branching"])
+    (["--generator", "homogeneous:2", "--depths=-1..3"],
+     "depth must be >= 0"),
+    (["--generator", "small-norm", "--depths", "0..3"],
+     "profile depths must be positive"),
+    # with two errors, the one the shallowest depth meets first is reported
+    (["--generator", "homogeneous:0", "--depths=-1..3"],
+     "branching d must be >= 1"),
+    (["--generator", "homogeneous:0", "--z=1/2"], "branching d must be >= 1"),
+    (["--generator", "homogeneous:2", "--depths=-1..3", "--z=1/2"],
+     "depth must be >= 0"),
+], ids=["real-z", "branching-0", "branching-x", "no-branching",
+        "negative-depth", "small-norm-depth-0", "branching-0-negative-depth",
+        "branching-0-real-z", "negative-depth-real-z"])
 def test_growth_input_messages(capsys, args, message):
     assert main(["growth", "--depths", "3..4", *args]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {message}\n"
+
+
+def test_growth_builds_one_tree(capsys, monkeypatch):
+    built = []
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return treejacobi.treecore.homogeneous_tree(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "homogeneous_tree", counted)
+    code, report = run(capsys, ["growth", "--generator", "homogeneous:2",
+                                "--path-lambda", "linear", "--depths", "3..6"])
+    assert code == 0
+    assert built == [(2, 6)]
+    assert [row["size"] for row in report["results"]["rows"]] == [
+        15, 31, 63, 127]
+
+
+def test_verify_all_builds_one_characteristic_polynomial(capsys, monkeypatch,
+                                                         star_file):
+    built = []
+    char_poly = spectra.char_poly
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return char_poly(*args, **kwargs)
+
+    monkeypatch.setattr(spectra, "char_poly", counted)
+    for seed in ("0", "7"):
+        code, report = run(capsys, ["verify-all", "--tree", star_file,
+                                    "--seed", seed])
+        assert code == 0
+        assert report["results"]["spectral_identity"]["ok"]
+        assert report["results"]["negative_count_consistency"]["ok"]
+    assert len(built) == 2
+
+
+def test_parser_is_built_once():
+    assert build_parser() is build_parser()
 
 
 def test_reports_are_byte_identical(capsys, star_file):

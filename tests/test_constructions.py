@@ -13,11 +13,12 @@ from treejacobi.constructions import (bounded_base_radius_ok,
                                       check_positivity_certificate,
                                       construct_positivity_certificate,
                                       path_weight_square_sum_window,
-                                      unit_certificate)
+                                      small_norm_profile, unit_certificate)
 from treejacobi.errors import PositivityError
 from treejacobi.exactmath import I
 from treejacobi.solutions import propagate_real, uniqueness_dimension
-from treejacobi.spectra import count_negative_eigenvalues, tree_inertia
+from treejacobi.spectra import (char_poly, count_negative_eigenvalues,
+                                tree_inertia)
 from treejacobi.treecore import (TreeTruncation, build_from_spec,
                                  default_path, homogeneous_tree, path_tree)
 from treejacobi.treepoly import family
@@ -41,7 +42,7 @@ def test_certificate_inequality_example():
     h = homogeneous_tree(2, 3, beta=F(4))
     verdict = check_positivity_certificate(h, unit_certificate(h))
     assert verdict.ok and verdict.negative_eigenvalues == 0
-    assert count_negative_eigenvalues(h) == 0
+    assert count_negative_eigenvalues(char_poly(h)) == 0
 
 
 def test_certificate_fails_for_zero_diagonal():
@@ -224,6 +225,22 @@ def test_small_norm_custom_budget():
 def test_small_norm_uniqueness_shadow():
     res = build_small_norm_pair(5)
     assert uniqueness_dimension(res.tree, res.tree.top, I) == 1
+
+
+def test_small_norm_profile_rows_are_the_stage_truncations():
+    # each row against its stage read off the build directly: the ledger
+    # total, the subtree below x_n and 1/lambda summed up the path
+    res = build_small_norm_pair(9)
+    tree = res.tree
+    total = {row.n: row.total_norm2 for row in res.ledger}
+    xs = [tree.index_of(f"x{k}") for k in range(10)]
+    profile = small_norm_profile([1, 2, 5, 9])
+    assert [row.depth for row in profile.rows] == [1, 2, 5, 9]
+    for row in profile.rows:
+        n = row.depth
+        assert row.norm2 == total[n]
+        assert row.size == len(tree.descendants(xs[n]))
+        assert row.carleman_sum == sum(1 / tree.lam[x] for x in xs[:n + 1])
 
 
 # -- perturbed homogeneous --------------------------------------------

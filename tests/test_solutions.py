@@ -236,10 +236,7 @@ def test_propagate_real_matches_rank_criterion():
 
 
 def test_growth_profile_shapes():
-    def make(depth):
-        return homogeneous_tree(2, depth)
-
-    profile = growth_profile(make, I, range(2, 6))
+    profile = growth_profile(homogeneous_tree(2, 5), I, range(2, 6))
     assert len(profile.rows) == 4
     assert profile.strictly_increasing
     assert profile.carleman_divergent_trend
@@ -247,9 +244,14 @@ def test_growth_profile_shapes():
 
 
 def test_growth_profile_carleman_values():
-    def make(depth):
-        return path_tree(depth, lam=lambda n: F(n + 1))
-
-    profile = growth_profile(make, I, [3, 4])
+    profile = growth_profile(path_tree(4, lam=lambda n: F(n + 1)), I, [3, 4])
     assert profile.rows[0].carleman_sum == F(1) + F(1, 2) + F(1, 3) + F(1, 4)
     assert profile.rows[1].carleman_sum == profile.rows[0].carleman_sum + F(1, 5)
+    assert [row.size for row in profile.rows] == [4, 5]
+
+
+@pytest.mark.parametrize("depth", [-1, 4])
+def test_growth_profile_rejects_depths_off_the_path(depth):
+    # a negative depth must not read a row off the end of the path
+    with pytest.raises(ValueError, match=rf"depth {depth} is not in 0\.\.3"):
+        growth_profile(homogeneous_tree(2, 3), I, [0, depth])

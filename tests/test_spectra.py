@@ -113,16 +113,16 @@ def test_spectral_description_path_and_distinct():
 
 def test_identity_exhaustive_and_cut_shapes():
     for tree in exhaustive_corpus(5) + cut_shape_corpus(5):
-        assert verify_spectral_identity(family(tree))
+        assert verify_spectral_identity(family(tree), char_poly(tree))
 
 
 def test_negative_counts():
-    assert count_negative_eigenvalues(STAR) == 1
+    assert count_negative_eigenvalues(char_poly(STAR)) == 1
     leaf = build_from_spec('{"vertices": [{"id": "v", "level": 0, "beta": "-1/1"}],'
                            ' "top": "v", "top_lambda": "1/1"}')
-    assert count_negative_eigenvalues(leaf) == 1
+    assert count_negative_eigenvalues(char_poly(leaf)) == 1
     star4 = homogeneous_tree(2, 1, beta=F(4))
-    assert count_negative_eigenvalues(star4) == 0
+    assert count_negative_eigenvalues(char_poly(star4)) == 0
 
 
 def _sturm_counts(p, sigma):
@@ -205,7 +205,7 @@ def test_inertia_zero_pivot_path():
 
 def test_identity_random_corpus():
     for tree in random_corpus(101, 30):
-        assert verify_spectral_identity(family(tree))
+        assert verify_spectral_identity(family(tree), char_poly(tree))
 
 
 def test_eigenvector_witnesses():
