@@ -263,7 +263,7 @@ def default_budget(n: int) -> Fraction:
     return Fraction(1, 2 ** (n + 2))
 
 
-def build_small_norm_pair(depth: int, budget=default_budget) -> SmallNormResult:
+def build_small_norm_pair(depth: int) -> SmallNormResult:
     """Inductively choose weights (diagonal zero, z = i) so the normalized
     eigen-solution keeps its squared norm below 1 - 2^(-n) on every stage
     truncation.  Path weights grow by doubling until the new path value is
@@ -287,9 +287,7 @@ def build_small_norm_pair(depth: int, budget=default_budget) -> SmallNormResult:
     norm = values["x0"].abs2()
     ledger: list[NormLedgerRow] = []
     for n in range(1, depth + 1):
-        b_n = Fraction(budget(n))
-        if b_n <= 0:
-            raise ValueError(f"budget must be positive (stage {n})")
+        b_n = default_budget(n)
         prev = f"x{n - 1}"
         cur = f"x{n}"
         # eigen-equation at x_{n-1}: lambda_{x_{n-1}} v(x_n) = R, where R
@@ -466,10 +464,10 @@ class PendantPathResult:
                 and self.pendant_norm_ok and self.classical_match)
 
 
-def build_pendant_path(depth: int, rule: str = "ramp", a=Fraction(3, 4),
-                       path_lam=Fraction(1)) -> PendantPathResult:
-    """Path with zero diagonal plus one pendant under each path vertex;
-    pendant n carries diagonal beta_n and coupling mu_n with
+def build_pendant_path(depth: int, rule: str = "ramp",
+                       a=Fraction(3, 4)) -> PendantPathResult:
+    """Path with unit weights and zero diagonal plus one pendant under each
+    path vertex; pendant n carries diagonal beta_n and coupling mu_n with
     mu_n^2 = 1 + beta_n^2.  At z = i the pendant values satisfy
     |v(y_{n-1})|^2 = |v(x_n)|^2 and the path values obey the classical
     recursion with diagonal -beta_n at the point 2i, both checked exactly."""
@@ -479,10 +477,7 @@ def build_pendant_path(depth: int, rule: str = "ramp", a=Fraction(3, 4),
         beta_rule, mu_rule = constant_pendant_rule(Fraction(a))
     else:
         raise ValueError(f"unknown pendant rule {rule!r}")
-    lam_rule = path_lam if callable(path_lam) else (
-        lambda n, c=Fraction(path_lam): c)
-    tree = decorated_path_tree(depth, path_lam=lam_rule,
-                               path_beta=Fraction(0),
+    tree = decorated_path_tree(depth, path_beta=Fraction(0),
                                side_lam=mu_rule, side_beta=beta_rule)
     path = default_path(tree)
     pair = solve_pair(tree, path, I)
@@ -504,7 +499,7 @@ def build_pendant_path(depth: int, rule: str = "ramp", a=Fraction(3, 4),
         # the pendant's own equation (pendants are cut; assert it directly)
         res = I * v[y] - tree.lam[y] * v[xs[n]] - tree.beta[y] * v[y]
         norm_ok = norm_ok and not res
-    ref = recurrence_values(lam_rule, lambda n: -beta_rule(n), two_i,
+    ref = recurrence_values(lambda n: 1, lambda n: -beta_rule(n), two_i,
                             v[xs[0]], v[xs[1]], depth)
     classical_match = all(ref[n] == v[xs[n]] for n in range(depth + 1))
     return PendantPathResult(tree, pair, residuals, norm_ok, classical_match)
@@ -612,7 +607,7 @@ def small_norm_profile(depths) -> GrowthProfile:
     sizes = [1 + sum(len(tree.descendants(s))
                      for s in _side_roots(tree, path, k))
              for k in range(len(path))]
-    norms = [res.solution.value(path[0]).abs2()]
+    norms = [res.solution.values[path[0]].abs2()]
     norms += [row.side_norm2 + row.top_value_norm2 for row in res.ledger]
     return nested_profile(path, depths, sizes, norms)
 

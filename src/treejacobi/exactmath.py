@@ -2,10 +2,11 @@
 
 Scalars are `fractions.Fraction` (canonical form is the stdlib's job) and
 complex scalars are :class:`GaussianRational`, a pair of Fractions.  A
-polynomial is a tuple of Fraction coefficients, lowest degree first, with
-no trailing zeros; the zero polynomial has an empty tuple.  Everything in
-this module is exact: there is no floating point anywhere.  Every
-decision is made from integer signed remainder sequences and rational
+polynomial (:class:`Poly`) is a positive rational content times a
+primitive integer coefficient tuple, so its arithmetic is integer
+arithmetic plus one content operation.  Everything here is exact: there
+is no floating point anywhere.  Every decision is made from signed
+remainder sequences of primitive integer polynomials and rational
 comparisons, and every sign of a polynomial at a rational point n/d is
 taken in plain ints (homogeneous Horner, no Fraction arithmetic): root
 counting evaluates an integer Sturm chain at the interval ends, root
@@ -154,45 +155,55 @@ I = GaussianRational(Fraction(0), Fraction(1))
 
 
 class Poly:
-    """Univariate polynomial over the rationals, coefficients lowest first."""
+    """Univariate polynomial over the rationals.
 
-    __slots__ = ("coeffs",)
+    One canonical form: ``content * prim``.  `prim` is a tuple of integer
+    coefficients, lowest degree first, with gcd 1, no trailing zero and
+    the sign of the polynomial; `content` is a positive Fraction.  The
+    zero polynomial has content 0 and an empty tuple.  By Gauss's lemma a
+    product of primitive polynomials is primitive, so a product is one
+    integer convolution and one content multiply."""
+
+    __slots__ = ("content", "prim")
 
     def __init__(self, coeffs: Iterable = ()):
         cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
-            cs.pop()
-        self.coeffs = tuple(cs)
+        den = math.lcm(*(c.denominator for c in cs))
+        self.content, self.prim = _canonical(
+            [c.numerator * (den // c.denominator) for c in cs], 1, den)
 
     # -- structure ----------------------------------------------------
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        """The rational coefficients, lowest degree first."""
+        return tuple([self.content * c for c in self.prim])
+
+    @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
+        return len(self.prim) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.prim
 
     def leading(self) -> Fraction:
         if self.is_zero:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self.content * self.prim[-1]
 
     def monic(self) -> "Poly":
         lc = self.leading()
-        if lc == 1:
-            return self
-        return Poly([c / lc for c in self.coeffs])
+        return self if lc == 1 else self * (1 / lc)
 
     def __eq__(self, other):
         if not isinstance(other, Poly):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.prim == other.prim and self.content == other.content
 
     def __hash__(self):
-        return hash(self.coeffs)
+        return hash((self.content, self.prim))
 
     def __bool__(self):
         return not self.is_zero
@@ -200,54 +211,79 @@ class Poly:
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
-        a, b = self.coeffs, other.coeffs
+        """Over the common content gcd(numerators) / lcm(denominators)."""
+        if other.is_zero or self.is_zero:
+            return other if self.is_zero else self
+        ca, cb = self.content, other.content
+        g = math.gcd(ca.numerator, cb.numerator)
+        den = math.lcm(ca.denominator, cb.denominator)
+        ka = ca.numerator // g * (den // ca.denominator)
+        kb = cb.numerator // g * (den // cb.denominator)
+        a, b = self.prim, other.prim
         if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
+            a, b, ka, kb = b, a, kb, ka
+        out = [ka * c for c in a]
         for i, c in enumerate(b):
-            out[i] += c
-        return Poly(out)
-
-    def __neg__(self) -> "Poly":
-        return Poly([-c for c in self.coeffs])
+            out[i] += kb * c
+        return _poly(*_canonical(out, g, den))
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
+    def __neg__(self) -> "Poly":
+        # tuples come from lists: from generators, CPython 3.11 holds more peak memory
+        return _poly(self.content, tuple([-c for c in self.prim]))
+
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
-        a, b = self.coeffs, other.coeffs
+            s = self.content * other
+            prim = self.prim if s > 0 else tuple([-c for c in self.prim])
+            return _poly(abs(s), prim) if s else Poly()
+        a, b = self.prim, other.prim
         if not a or not b:
             return Poly()
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in enumerate(b):
                     out[i + j] += ca * cb
-        return Poly(out)
+        return _poly(self.content * other.content, tuple(out))
 
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Poly"):
-        if other.is_zero:
+        """The one polynomial division, (q, r) with self = q*other + r and
+        deg r < deg other, on the primitive parts: a step whose head the
+        divisor's leading integer does not divide first scales remainder
+        and quotient by |lead| (a pseudo-division step).  By Gauss's lemma
+        an exact division never scales."""
+        b = other.prim
+        if not b:
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        db = other.degree
-        lc = other.leading()
-        quot = [Fraction(0)] * max(len(rem) - db, 0)
+        db = len(b) - 1
+        rem = list(self.prim)
+        lb = b[-1]
+        m = abs(lb)
+        quot = [0] * max(len(rem) - db, 0)
+        scale = 1
         for i in range(len(rem) - 1, db - 1, -1):
-            c = rem[i]
-            if c == 0:
+            head = rem[i]
+            if not head:
                 continue
-            f = c / lc
-            quot[i - db] = f
-            for j, oc in enumerate(other.coeffs):
-                rem[i - db + j] -= f * oc
-        return Poly(quot), Poly(rem)
-
-    def __floordiv__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[0]
+            f, r = divmod(head, lb)
+            if r:
+                scale *= m
+                rem = [m * c for c in rem]
+                quot = [m * c for c in quot]
+                f = head if lb > 0 else -head
+            off = i - db
+            quot[off] = f
+            for j, c in enumerate(b):
+                rem[off + j] -= f * c
+        ca, cb = self.content, other.content
+        return (_poly(*_canonical(quot, ca.numerator * cb.denominator,
+                                  ca.denominator * cb.numerator * scale)),
+                _poly(*_canonical(rem[:db], ca.numerator, ca.denominator * scale)))
 
     def __mod__(self, other: "Poly") -> "Poly":
         return divmod(self, other)[1]
@@ -256,28 +292,61 @@ class Poly:
         """Quotient of an exact division; DivisionError on nonzero remainder."""
         q, r = divmod(self, other)
         if not r.is_zero:
-            raise DivisionError(
-                f"inexact polynomial division: remainder degree {r.degree}"
-            )
+            raise DivisionError(f"inexact polynomial division: remainder degree {r.degree}")
         return q
 
     def derivative(self) -> "Poly":
-        return Poly([i * c for i, c in enumerate(self.coeffs) if i > 0])
+        c = self.content
+        return _poly(*_canonical([i * a for i, a in enumerate(self.prim) if i],
+                                 c.numerator, c.denominator))
 
     def __call__(self, x):
-        """Evaluate by Horner's rule; works for Fraction and GaussianRational."""
-        acc = Fraction(0) if not isinstance(x, GaussianRational) else GaussianRational(
-            Fraction(0), Fraction(0)
-        )
-        for c in reversed(self.coeffs):
-            acc = acc * x + c
-        return acc
+        """Evaluate at a GaussianRational by Horner's rule, and at a
+        rational n/d by homogeneous Horner in plain ints."""
+        if isinstance(x, GaussianRational):
+            acc = GaussianRational(0, 0)
+            for c in reversed(self.prim):
+                acc = acc * x + c
+            return acc * self.content
+        x, c = Fraction(x), self.content
+        return Fraction(c.numerator * _homogeneous(self.prim, x.numerator, x.denominator),
+                        c.denominator * x.denominator ** max(self.degree, 0))
 
     def __str__(self) -> str:
         return format_poly(self)
 
     def __repr__(self) -> str:
         return f"Poly({list(self.coeffs)!r})"
+
+
+def _canonical(ints: list[int], num: int, den: int) -> tuple[Fraction, tuple[int, ...]]:
+    """(content, prim) of (num/den) * sum ints[i] z^i, for num, den > 0."""
+    while ints and not ints[-1]:
+        ints.pop()
+    if not ints:
+        return Fraction(0), ()
+    g = math.gcd(*ints)
+    if g > 1:
+        ints = [c // g for c in ints]
+    return Fraction(num * g, den), tuple(ints)
+
+
+def _poly(content: Fraction, prim: tuple[int, ...]) -> Poly:
+    """A Poly from a canonical (content, prim) pair, taken as it is."""
+    p = object.__new__(Poly)
+    p.content, p.prim = content, prim
+    return p
+
+
+def _homogeneous(prim: Sequence[int], n: int, d: int) -> int:
+    """d^deg * p(n/d) for the integer coefficients `prim` of p and d > 0:
+    the sum of c_i n^i d^(deg - i), by homogeneous Horner in plain ints."""
+    acc = 0
+    dk = 1
+    for c in reversed(prim):
+        acc = acc * n + c * dk
+        dk *= d
+    return acc
 
 
 X = Poly([0, 1])
@@ -293,70 +362,28 @@ def format_poly(p: Poly) -> str:
 # ---------------------------------------------------------------------
 
 
-def _integer_coeffs(p: Poly) -> list[int]:
-    """A positive scalar multiple of p with coprime integer coefficients."""
-    den = 1
-    for c in p.coeffs:
-        den = den * c.denominator // math.gcd(den, c.denominator)
-    ints = [int(c * den) for c in p.coeffs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g > 1:
-        ints = [v // g for v in ints]
-    return ints
-
-
-def _strip_content(r: list[int]) -> list[int]:
-    g = 0
-    for v in r:
-        g = math.gcd(g, v)
-    return [v // g for v in r] if g > 1 else r
-
-
-def _signed_prem(a: list[int], b: list[int]) -> tuple[list[int], int]:
-    """Integer pseudo-remainder: returns (r, s) with m*a = q*b + r over the
-    integers for some m = lc(b)^t, and s = sign(m).  Coefficient growth
-    stays polynomial, unlike fraction-field Euclid."""
-    r = list(a)
-    db = len(b) - 1
-    lb = b[-1]
-    steps = 0
-    while True:
-        while r and r[-1] == 0:
-            r.pop()
-        if len(r) - 1 < db:
-            break
-        head = r[-1]
-        off = len(r) - 1 - db
-        r = [lb * c for c in r]
-        for i, bc in enumerate(b):
-            r[off + i] -= head * bc
-        steps += 1
-    sign = 1 if lb > 0 or steps % 2 == 0 else -1
-    return r, sign
+def _primitive(p: Poly) -> Poly:
+    """The primitive part of p, content dropped (a positive multiple)."""
+    return _poly(Fraction(1), p.prim) if p.prim else p
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor, via a primitive integer remainder
-    sequence (exact; scalars never matter for the gcd)."""
+    """Monic greatest common divisor: Euclid on `%`, each remainder
+    replaced by its primitive part (scalars never matter for the gcd)."""
     if a.is_zero or b.is_zero:
         raise ValueError("gcd of a zero polynomial is undefined here")
-    if a.coeffs == b.coeffs:
+    if a == b:
         return a.monic()
-    ai, bi = _integer_coeffs(a), _integer_coeffs(b)
-    if len(ai) < len(bi):
-        ai, bi = bi, ai
-    while bi:
-        r, _ = _signed_prem(ai, bi)
-        ai, bi = bi, _strip_content(r)
-    return Poly(ai).monic()
+    if a.degree < b.degree:
+        a, b = b, a
+    while b:
+        a, b = b, _primitive(a % b)
+    return a.monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
     """Monic least common multiple, satisfying gcd*lcm = monic(a*b)."""
-    g = poly_gcd(a, b)
-    return (a.monic() * b.monic()).exact_div(g)
+    return (a.monic() * b.monic()).exact_div(poly_gcd(a, b))
 
 
 def poly_lcm_many(polys: Sequence[Poly]) -> Poly:
@@ -371,47 +398,33 @@ def poly_lcm_many(polys: Sequence[Poly]) -> Poly:
 # ---------------------------------------------------------------------
 
 
-def _remainder_sequence(a: list[int], b: list[int]) -> list[list[int]]:
-    """The signed remainder sequence a, b, -rem(a, b), ... over the
-    integers: each member is a positive scalar multiple of the classical
-    entry, content-stripped so coefficients stay manageable at high
-    degree.  It ends at a nonzero constant or at the last nonzero member
-    (a multiple of gcd(a, b)).  Needs b nonzero."""
-    seq = [a, b]
-    while len(seq[-1]) - 1 >= 1:
-        r, sign = _signed_prem(seq[-2], seq[-1])
-        if not r:
+def _remainder_sequence(a: Poly, b: Poly) -> list[Poly]:
+    """The signed remainder sequence a, b, -rem(a, b), ... with each
+    member replaced by its primitive part, a positive scalar multiple of
+    the classical entry, so coefficients stay manageable at high degree.
+    It ends at a nonzero constant or at the last nonzero member (a
+    multiple of gcd(a, b)).  Needs b nonzero."""
+    seq = [_primitive(a), _primitive(b)]
+    while seq[-1].degree >= 1:
+        r = seq[-2] % seq[-1]
+        if r.is_zero:
             break
-        if sign > 0:
-            r = [-v for v in r]
-        seq.append(_strip_content(r))
+        seq.append(_primitive(-r))
     return seq
 
 
-def _int_sturm_chain(p: Poly) -> list[list[int]]:
-    """The remainder sequence of (p, p') as integer lists; deg p >= 1."""
-    return _remainder_sequence(_integer_coeffs(p), _integer_coeffs(p.derivative()))
-
-
 def sturm_chain(p: Poly) -> list[Poly]:
-    """A generalized Sturm chain for p: the remainder sequence of (p, p').
-    Sign-variation counts are identical to the classical chain's."""
+    """A generalized Sturm chain for p: the remainder sequence of (p, p'),
+    primitive integer members.  Sign-variation counts are identical to
+    the classical chain's."""
     if p.degree < 1:
         return [p]
-    return [Poly(c) for c in _int_sturm_chain(p)]
+    return _remainder_sequence(p, p.derivative())
 
 
-def _sign_at(coeffs: list[int], x: Fraction) -> int:
-    """Sign of the integer polynomial `coeffs` (lowest degree first) at x.
-
-    With x = n/d and d > 0 this is the sign of d^deg * p(x), the sum of
-    c_i n^i d^(deg - i), which homogeneous Horner computes in plain ints."""
-    n, d = x.numerator, x.denominator
-    acc = 0
-    dk = 1
-    for c in reversed(coeffs):
-        acc = acc * n + c * dk
-        dk *= d
+def _sign_at(p: Poly, x: Fraction) -> int:
+    """Sign of p at x = n/d: that of d^deg p(n/d) on the primitive part."""
+    acc = _homogeneous(p.prim, x.numerator, x.denominator)
     return (acc > 0) - (acc < 0)
 
 
@@ -427,18 +440,18 @@ def _sign_changes(signs: Iterable[int]) -> int:
     return changes
 
 
-def _variations_at(chain: Sequence[list[int]], x: Fraction) -> int:
+def _variations_at(chain: Sequence[Poly], x: Fraction) -> int:
     return _sign_changes(_sign_at(c, x) for c in chain)
 
 
-def _variations_at_inf(chain: Sequence[list[int]], positive: bool) -> int:
+def _variations_at_inf(chain: Sequence[Poly], positive: bool) -> int:
     # the signs of the leading terms; no member of a chain is zero
-    return _sign_changes((1 if c[-1] > 0 else -1)
-                         * (1 if positive else (-1) ** (len(c) - 1))
+    return _sign_changes((1 if c.prim[-1] > 0 else -1)
+                         * (1 if positive else (-1) ** c.degree)
                          for c in chain)
 
 
-def _chain_count(chain: Sequence[list[int]], lo: Fraction | None,
+def _chain_count(chain: Sequence[Poly], lo: Fraction | None,
                  hi: Fraction | None) -> int:
     """Distinct roots of chain[0] in (lo, hi]; lo must not be a root."""
     va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
@@ -457,7 +470,7 @@ def count_real_roots(p: Poly, lo: Fraction | None = None,
         raise ValueError("root counting needs a nonzero polynomial")
     if p.degree == 0:
         return 0
-    chain = _int_sturm_chain(p)
+    chain = sturm_chain(p)
     if lo is not None and _sign_at(chain[0], lo) == 0:
         raise ValueError("left endpoint must not be a root")
     return _chain_count(chain, lo, hi)
@@ -465,9 +478,8 @@ def count_real_roots(p: Poly, lo: Fraction | None = None,
 
 def cauchy_root_bound(p: Poly) -> Fraction:
     """A rational B with every real root of p strictly inside (-B, B)."""
-    lc = abs(p.leading())
-    m = max((abs(c) for c in p.coeffs[:-1]), default=Fraction(0))
-    return Fraction(1) + m / lc
+    m = max((abs(c) for c in p.prim[:-1]), default=0)
+    return 1 + Fraction(m, abs(p.prim[-1]))
 
 
 # ---------------------------------------------------------------------
@@ -501,12 +513,6 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     return out
 
 
-def is_square_free(p: Poly) -> bool:
-    if p.degree <= 0:
-        return not p.is_zero
-    return poly_gcd(p, p.derivative()).degree == 0
-
-
 # ---------------------------------------------------------------------
 # real-root isolation
 # ---------------------------------------------------------------------
@@ -523,9 +529,6 @@ class RootInterval:
     @property
     def exact(self) -> bool:
         return self.lo == self.hi
-
-    def width(self) -> Fraction:
-        return self.hi - self.lo
 
     def as_strings(self) -> dict:
         return {
@@ -544,9 +547,6 @@ class RootSet:
     def count(self) -> int:
         return len(self.roots)
 
-    def count_with_multiplicity(self) -> int:
-        return sum(r.multiplicity for r in self.roots)
-
     def as_strings(self) -> list[dict]:
         return [r.as_strings() for r in self.roots]
 
@@ -555,7 +555,7 @@ def _isolate_square_free(g: Poly) -> list[tuple[Fraction, Fraction]]:
     """Disjoint half-open intervals (a, b], one distinct root of g in each."""
     if g.degree == 0:
         return []
-    chain = _int_sturm_chain(g)
+    chain = sturm_chain(g)
     bound = cauchy_root_bound(g)
     out: list[tuple[Fraction, Fraction]] = []
     total = _chain_count(chain, -bound, bound)
@@ -575,7 +575,7 @@ def _isolate_square_free(g: Poly) -> list[tuple[Fraction, Fraction]]:
     return out
 
 
-def _non_root_split(g: list[int], a: Fraction, b: Fraction) -> Fraction:
+def _non_root_split(g: Poly, a: Fraction, b: Fraction) -> Fraction:
     # midpoint, nudged toward a until it is not a root of g
     k = 2
     while True:
@@ -585,11 +585,11 @@ def _non_root_split(g: list[int], a: Fraction, b: Fraction) -> Fraction:
         k += 1
 
 
-def _refine_interval(g: list[int], a: Fraction, b: Fraction,
+def _refine_interval(g: Poly, a: Fraction, b: Fraction,
                      width: Fraction) -> tuple[Fraction, Fraction]:
     """Shrink (a, b] to width <= `width` by bisection on the sign of g.
 
-    g is the integer form of a square-free factor with exactly one root
+    g is a square-free factor with exactly one root
     in (a, b] and g(a) != 0, so that root lies in (a, m) exactly when g
     changes sign between a and the midpoint m.  A midpoint that is the
     root itself is returned as the exact interval (m, m)."""
@@ -620,10 +620,9 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootSet:
         # refinement would never reach a width <= 0 around an irrational root
         raise ValueError("root-interval width must be positive, got "
                          f"{format_rational(width)}")
-    tagged: list[tuple[Fraction, Fraction, int, list[int]]] = []
+    tagged: list[tuple[Fraction, Fraction, int, Poly]] = []
     for g, mult in square_free_decomposition(p):
-        gi = _integer_coeffs(g)
-        tagged += [(a, b, mult, gi) for a, b in _isolate_square_free(g)]
+        tagged += [(a, b, mult, g) for a, b in _isolate_square_free(g)]
     # disjointness across factors (roots themselves are pairwise distinct)
     changed = True
     while changed:
@@ -646,14 +645,14 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootSet:
 
 
 def has_only_real_simple_roots(p: Poly) -> bool:
-    """True iff p is nonconstant-or-constant nonzero, square-free with all roots real."""
-    if p.is_zero:
-        return False
-    if p.degree == 0:
-        return True
-    if not is_square_free(p):
-        return False
-    return count_real_roots(p) == p.degree
+    """True iff p is a nonzero constant, or has deg p distinct real roots.
+
+    The Cauchy index of p'/p counts the distinct real roots of p (each
+    is a pole of residue its multiplicity), so for deg p >= 1 this is
+    exactly `strict_interlace(p, p')`."""
+    if p.degree <= 0:
+        return not p.is_zero
+    return strict_interlace(p, p.derivative())
 
 
 def _cauchy_index(p: Poly, q: Poly) -> int:
@@ -664,7 +663,7 @@ def _cauchy_index(p: Poly, q: Poly) -> int:
     sequence of (p, q) (Basu-Pollack-Roy, Algorithms in Real Algebraic
     Geometry, Thm 2.58), so no point is ever evaluated.  p and q must be
     nonzero."""
-    seq = _remainder_sequence(_integer_coeffs(p), _integer_coeffs(q))
+    seq = _remainder_sequence(p, q)
     return _variations_at_inf(seq, False) - _variations_at_inf(seq, True)
 
 

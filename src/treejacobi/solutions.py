@@ -51,9 +51,6 @@ class SolutionField:
     satisfied_at: frozenset[int]
     path: PathSelection | None = None
 
-    def value(self, v: int) -> GaussianRational:
-        return self.values[v]
-
     def residual(self, v: int) -> GaussianRational:
         """z f(v) minus the operator row at v; v must not be the top."""
         t = self.tree
@@ -72,10 +69,6 @@ class SolutionField:
 
     def nonvanishing(self) -> bool:
         return all(bool(self.values[v]) for v in self.values)
-
-    def norm2(self) -> Fraction:
-        """Exact squared l2 norm over all stored values."""
-        return sum((w.abs2() for w in self.values.values()), Fraction(0))
 
 
 @dataclass(frozen=True)

@@ -67,9 +67,6 @@ class TreeTruncation:
         except KeyError:
             raise UnknownVertexError(f"unknown vertex {name!r}") from None
 
-    def is_cut(self, v: int) -> bool:
-        return v in self.cut
-
     def interior(self) -> Iterator[int]:
         """Vertices whose full neighborhood is present (not top, not cut)."""
         for v in range(self.size):

@@ -76,7 +76,8 @@ def _per_vertex_rows(trees, z):
         pair = solve_pair(tree, path, z)
         assert pair.v.verify()
         carleman = sum((1 / tree.lam[v] for v in path.vertices), F(0))
-        rows.append((tree.size, pair.v.norm2(), carleman))
+        norm2 = sum((w.abs2() for w in pair.v.values.values()), F(0))
+        rows.append((tree.size, norm2, carleman))
     return rows
 
 

@@ -217,11 +217,6 @@ def test_small_norm_off_path_weights_are_unit():
     assert all(b == 0 for b in tree.beta)
 
 
-def test_small_norm_custom_budget():
-    res = build_small_norm_pair(4, budget=lambda n: F(1, 3 ** (n + 2)))
-    assert res.ok and res.solution.verify()
-
-
 def test_small_norm_uniqueness_shadow():
     res = build_small_norm_pair(5)
     assert uniqueness_dimension(res.tree, res.tree.top, I) == 1
@@ -303,12 +298,6 @@ def test_pendant_path_zero_decoration_is_free_recursion():
 def test_pendant_path_rejects_irrational_weight():
     with pytest.raises(ValueError):
         build_pendant_path(4, rule="constant", a=F(1))
-
-
-def test_pendant_path_with_geometric_weights():
-    res = build_pendant_path(10, rule="ramp", a=F(2),
-                             path_lam=lambda n: F(2) ** (n // 2))
-    assert res.ok
 
 
 # -- real-value obstruction ---------------------------------------------

@@ -140,7 +140,7 @@ def test_isolation_merge_property():
             else:
                 expected = _mult_in(p, r.lo, r.hi) + _mult_in(q, r.lo, r.hi)
             assert r.multiplicity == expected
-        assert rs.count_with_multiplicity() == _mult_in(prod, None, None)
+        assert sum(r.multiplicity for r in rs.roots) == _mult_in(prod, None, None)
 
 
 def test_square_free_reconstruction():

@@ -3,9 +3,12 @@
 `isolation_interlace` is the earlier decision procedure, kept here as
 the reference: isolate the roots of both polynomials with Sturm counts
 (`sturm_oracle`), refine the intervals until no two overlap, and read
-off the merged order.
+off the merged order.  `real_simple_oracle` is the earlier
+`has_only_real_simple_roots` (a gcd and a Sturm count), the reference
+for the one Cauchy index that now decides it.
 """
 
+import random
 from fractions import Fraction as F
 
 from hypothesis import example, given, settings
@@ -14,9 +17,19 @@ from hypothesis import strategies as st
 from conftest import exhaustive_corpus, h24, random_corpus
 from sturm_oracle import sturm_isolate
 from treejacobi.exactmath import (ONE, Poly, X, _cauchy_index,
-                                  cauchy_root_bound, has_only_real_simple_roots,
-                                  poly_gcd, strict_interlace)
+                                  cauchy_root_bound, count_real_roots,
+                                  has_only_real_simple_roots, poly_gcd,
+                                  strict_interlace)
 from treejacobi.treepoly import family
+
+
+def real_simple_oracle(p: Poly) -> bool:
+    """A nonzero constant, or square-free (gcd(p, p') constant) with deg p
+    distinct real roots by a Sturm count."""
+    if p.degree <= 0:
+        return not p.is_zero
+    return (poly_gcd(p, p.derivative()).degree == 0
+            and count_real_roots(p) == p.degree)
 
 
 def isolation_interlace(p: Poly, q: Poly) -> bool:
@@ -24,7 +37,7 @@ def isolation_interlace(p: Poly, q: Poly) -> bool:
         return False
     if p.degree != q.degree + 1:
         return False
-    if not has_only_real_simple_roots(p) or not has_only_real_simple_roots(q):
+    if not real_simple_oracle(p) or not real_simple_oracle(q):
         return False
     if q.degree == 0:
         return True
@@ -123,3 +136,29 @@ def test_linear_factor_products(case):
     if truth:
         sign = 1 if lc_p * lc_q > 0 else -1
         assert _cauchy_index(p, q) == sign * p.degree
+
+
+def _random_real_simple_candidate(rng: random.Random) -> Poly:
+    """Half the draws: random rational coefficients.  The rest: a product
+    of rational linear factors (repeats allowed) and maybe a monic
+    quadratic, whose roots are real irrational, rational or complex."""
+    if rng.random() < 0.5:
+        return Poly([F(rng.randint(-9, 9), rng.randint(1, 4))
+                     for _ in range(rng.randint(0, 8))])
+    p = Poly([rng.choice([F(1), F(-2), F(3, 5)])])
+    for _ in range(rng.randint(0, 6)):
+        p = p * Poly([-F(rng.randint(-6, 6), rng.randint(1, 3)), 1])
+    if rng.random() < 0.5:
+        p = p * Poly([rng.randint(-9, 9), rng.randint(-6, 6), 1])
+    return p
+
+
+def test_real_simple_roots_match_gcd_and_sturm_oracle():
+    rng = random.Random(31)
+    verdicts = [0, 0]
+    for _ in range(1500):
+        p = _random_real_simple_candidate(rng)
+        fast = has_only_real_simple_roots(p)
+        assert fast == real_simple_oracle(p), p
+        verdicts[fast] += 1
+    assert min(verdicts) > 400

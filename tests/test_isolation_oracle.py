@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import h23, h24
+from fraction_poly_oracle import FracPoly
 from sturm_oracle import sturm_isolate
 from treejacobi.exactmath import (ONE, Poly, RootInterval, RootSet, _sign_at,
                                   isolate_real_roots, square_free_decomposition)
@@ -102,5 +103,5 @@ def test_dyadic_roots_on_bisection_midpoints():
        st.integers(-10 ** 6, 10 ** 6), st.integers(1, 10 ** 6))
 def test_sign_at_matches_fraction_horner(coeffs, num, den):
     x = F(num, den)
-    value = Poly(coeffs)(x)
-    assert _sign_at(coeffs, x) == (value > 0) - (value < 0)
+    value = FracPoly(coeffs)(x)
+    assert _sign_at(Poly(coeffs), x) == (value > 0) - (value < 0)

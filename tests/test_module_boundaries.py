@@ -4,12 +4,16 @@
   underscore is never imported from another module, not even inside a
   function;
 * the modules form layers, and each imports only layers below its own,
-  so `classical1d` is a leaf next to `exactmath`."""
+  so `classical1d` is a leaf next to `exactmath`;
+* the representation of a polynomial stays inside `exactmath`: no other
+  module reads the `Poly` slots, only `coeffs`, `leading()` and
+  `degree`."""
 
 import ast
 from pathlib import Path
 
 import treejacobi
+from treejacobi.exactmath import Poly
 
 SRC = Path(treejacobi.__file__).resolve().parent
 LAYERS = ("errors", "exactmath", "classical1d", "treecore", "treepoly",
@@ -48,6 +52,13 @@ def package_imports(path: Path) -> set[str]:
     return found
 
 
+def slot_reads(path: Path, slots) -> list[str]:
+    """Every attribute access `<expr>.<slot>` in a source file."""
+    return [f"{path.name}:{node.lineno} reads .{node.attr}"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.Attribute) and node.attr in slots]
+
+
 def test_no_module_imports_a_private_name_of_another():
     modules = sorted(SRC.glob("*.py"))
     assert len(modules) >= 10
@@ -63,3 +74,10 @@ def test_modules_import_only_lower_layers():
             if dep not in LAYERS[:rank]:
                 upward.append(f"{name} imports {dep}")
     assert upward == []
+
+
+def test_only_exactmath_reads_the_poly_slots():
+    assert set(Poly.__slots__) == {"content", "prim"}
+    others = sorted(set(SRC.glob("*.py")) - {SRC / "exactmath.py"})
+    assert [line for m in others for line in slot_reads(m, Poly.__slots__)] == []
+    assert slot_reads(SRC / "exactmath.py", Poly.__slots__) != []

@@ -96,7 +96,7 @@ def test_spectral_description_star():
     assert len(desc.shared) == 1
     assert desc.shared[0].vertex == "x"
     assert desc.shared[0].factor == X
-    assert desc.shared[0].roots.count_with_multiplicity() == 1
+    assert [r.multiplicity for r in desc.shared[0].roots.roots] == [1]
 
 
 def test_spectral_description_path_and_distinct():

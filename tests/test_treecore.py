@@ -119,7 +119,7 @@ def test_cut_leaf_allowed_with_flag():
                         '{"id": "a", "parent": "x", "level": 1, "lambda": "1/1", "beta": "0/1", "cut": true},'
                         '{"id": "x", "level": 2, "beta": "0/1"}],'
                         ' "top": "x", "top_lambda": "1/1"}')
-    assert t.is_cut(t.index_of("a"))
+    assert t.index_of("a") in t.cut
     assert list(t.interior()) == []  # the top and the cut leaf are excluded
     assert t.index_of("a") not in set(t.interior())
 
