@@ -115,7 +115,7 @@ def _cmd_solve(args, argv) -> int:
         if args.path:
             raise ValueError("--path applies to nonreal z; real-value "
                              "propagation chooses its own path")
-        res = solutions.propagate_real(tree, tree.top, z.re)
+        res = solutions.propagate_real(tree, z.re)
         results = {
             "z": z, "mode": "real",
             "obstructed": res.obstructed,

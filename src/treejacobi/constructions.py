@@ -106,22 +106,6 @@ def unit_certificate(tree: TreeTruncation) -> dict[int, Fraction]:
     return {v: Fraction(1) for v in range(tree.size)}
 
 
-def _side_roots(tree: TreeTruncation, path: PathSelection, k: int) -> list[int]:
-    below = path[k - 1] if k >= 1 else None
-    return [c for c in tree.children[path[k]] if c != below]
-
-
-def _fill_sides(tree: TreeTruncation, path: PathSelection,
-                cls: dict[int, int], ratio: list, f: dict[int, Fraction]):
-    """Carry the path values of f down every side subtree by
-    f(w) = -r(w) f(parent w): the eigen-equation of the class ratios, with
-    the signs (-1)^level of the sign-flipped truncation."""
-    for k in range(len(path)):
-        for s in _side_roots(tree, path, k):
-            for w in tree.descendants(s):
-                f[w] = -ratio[cls[w]] * f[tree.parent[w]]
-
-
 @dataclass
 class CertificateConstruction:
     certificate: PositivityCertificate
@@ -161,17 +145,16 @@ def construct_positivity_certificate(tree: TreeTruncation,
     if n_reg < 1:
         raise ValueError("n_reg must be a positive integer")
     m_reg = _regularized_witness(tree, path, Fraction(1, n_reg))
+    flipped = [-r for r in ratio]
     masses: list[Fraction] = []
     masses_reg: list[Fraction] = []
-    for k in range(len(path)):
-        sides = _side_roots(tree, path, k)
-        masses.append(-sum((tree.lam[s] * ratio[cls[s]] for s in sides),
-                           Fraction(0)))
+    for x, sides in zip(path.vertices, path.sides):
+        masses.append(sum((tree.lam[s] * flipped[cls[s]] for s in sides),
+                          Fraction(0)))
         masses_reg.append(sum((tree.lam[s] * m_reg[s] for s in sides),
-                              Fraction(0)) / m_reg[path[k]])
+                              Fraction(0)) / m_reg[x])
     m = {tree.top: Fraction(1)}
-    for w in tree.descendants(tree.top)[1:]:
-        m[w] = -ratio[cls[w]] * m[tree.parent[w]]
+    tree.carry(m, tree.children[tree.top], flipped, cls)
     origin = m[path[0]]
     m = {v: x / origin for v, x in m.items()}
     _verify_equality_certificate(tree, m)
@@ -190,16 +173,17 @@ def _regularized_witness(tree: TreeTruncation, path: PathSelection,
     path by a forward sweep; back-substitution from the top then gives
     the path values, and f(w) = -r(w) f(parent w) off the path."""
     _, cls, ratio, _ = tree.class_ratios(tree.top, -eps)
+    flipped = [-r for r in ratio]
     xs = path.vertices
     rhs = [Fraction(1)]
     for v in xs[:-1]:
-        rhs.append(-ratio[cls[v]] * rhs[-1])
+        rhs.append(flipped[cls[v]] * rhs[-1])
     f: dict[int, Fraction] = {}
     above = Fraction(0)  # f(x_{k+1}); zero past the top
     for k in reversed(range(len(xs))):
         v = xs[k]
-        f[v] = above = -ratio[cls[v]] * (rhs[k] / tree.lam[v] + above)
-    _fill_sides(tree, path, cls, ratio, f)
+        f[v] = above = flipped[cls[v]] * (rhs[k] / tree.lam[v] + above)
+    tree.carry(f, [s for sides in path.sides for s in sides], flipped, cls)
     if any(x <= 0 for x in f.values()):
         raise PositivityError("regularized witness failed strict positivity")
     return {v: x / f[xs[0]] for v, x in f.items()}
@@ -567,7 +551,7 @@ def build_real_obstruction(depth: int) -> ObstructionResult:
         ids, index[f"x{depth}"],
         [None if p is None else index[p] for p in parents],
         levels, lams, betas)
-    prop = propagate_real(tree, tree.top, Fraction(0))
+    prop = propagate_real(tree, Fraction(0))
     return ObstructionResult(tree, kill_betas, dims, prop)
 
 
@@ -604,9 +588,8 @@ def small_norm_profile(depths) -> GrowthProfile:
         raise ValueError("profile depths must be positive")
     res = build_small_norm_pair(max(depths))
     tree, path = res.tree, res.path
-    sizes = [1 + sum(len(tree.descendants(s))
-                     for s in _side_roots(tree, path, k))
-             for k in range(len(path))]
+    sizes = [1 + sum(len(tree.descendants(s)) for s in sides)
+             for sides in path.sides]
     norms = [res.solution.values[path[0]].abs2()]
     norms += [row.side_norm2 + row.top_value_norm2 for row in res.ledger]
     return nested_profile(path, depths, sizes, norms)

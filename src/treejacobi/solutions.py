@@ -95,14 +95,13 @@ class _PathReduction:
 
     `ratio[c]` is f(w)/f(parent of w) for the solution f below any vertex
     w of class c, and `rep[c]` is the first such w; children's classes
-    come first.  `side_children[k]` lists the side children of x_k, and
-    `diag[k]` is beta at x_k plus its side reduction."""
+    come first.  `diag[k]` is beta at x_k plus the side reduction of
+    its subtrees off the path (`PathSelection.sides`)."""
 
     z: GaussianRational
     cls: dict[int, int]
     ratio: list[GaussianRational]
     rep: list[int]
-    side_children: list[list[int]]
     reductions: tuple[SideReduction, ...]
     diag: list
     lam: list[Fraction]
@@ -139,18 +138,13 @@ def _reduce_path(tree: TreeTruncation, path: PathSelection,
         if r is None:
             raise ValidationError(
                 f"family denominator vanishes at {tree.ids[w]!r}")
-    side_children: list[list[int]] = [[]]
-    reductions: list[SideReduction] = []
-    diag = [tree.beta[path[0]]]
-    for k in range(1, len(path)):
-        xk = path[k]
-        ys = [y for y in tree.children[xk] if y != path[k - 1]]
-        side_sum = sum((tree.lam[y] * ratio[cls[y]] for y in ys), _ZERO)
-        side_children.append(ys)
-        reductions.append(SideReduction(tree.ids[xk], side_sum))
-        diag.append(tree.beta[xk] + side_sum)
-    return _PathReduction(z, cls, ratio, rep, side_children, tuple(reductions),
-                          diag, [tree.lam[w] for w in path.vertices])
+    side = [sum((tree.lam[y] * ratio[cls[y]] for y in ys), _ZERO)
+            for ys in path.sides]
+    reductions = tuple(SideReduction(tree.ids[x], s)
+                       for x, s in zip(path.vertices[1:], side[1:]))
+    return _PathReduction(z, cls, ratio, rep, reductions,
+                          [tree.beta[x] + s for x, s in zip(path.vertices, side)],
+                          [tree.lam[w] for w in path.vertices])
 
 
 def solve_pair(tree: TreeTruncation, path: PathSelection,
@@ -163,15 +157,11 @@ def solve_pair(tree: TreeTruncation, path: PathSelection,
     red = _reduce_path(tree, path, z)
     vv: dict[int, GaussianRational] = {}
     uu: dict[int, GaussianRational] = {}
-    ratio, cls, parent = red.ratio, red.cls, tree.parent
     for xk, fv, fu, ys in zip(path.vertices, red.v_path(), red.u_path(),
-                              red.side_children):
+                              path.sides):
         vv[xk], uu[xk] = fv, fu
-        for y in ys:
-            for w in tree.descendants(y):
-                r, p = ratio[cls[w]], parent[w]
-                vv[w] = vv[p] * r
-                uu[w] = uu[p] * r
+        tree.carry(vv, ys, red.ratio, red.cls)
+        tree.carry(uu, ys, red.ratio, red.cls)
     interior = frozenset(tree.interior())
     v_field = SolutionField(tree, red.z, vv, interior, path)
     u_field = SolutionField(tree, red.z, uu, interior - {path[0]}, path)
@@ -214,7 +204,8 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
         for i in range(rank + 1, len(work)):
             if work[i][col]:
                 f = work[i][col] / head
-                work[i] = [a - f * b for a, b in zip(work[i], work[rank])]
+                work[i] = [a - f * b if b else a
+                           for a, b in zip(work[i], work[rank])]
         pivots.append(col)
         if len(pivots) == len(work):
             break
@@ -305,9 +296,8 @@ def rotated_positivity_report(pair: SolutionPair) -> RotatedPositivityReport:
         lhs = (tree.lam[xs[n]] * rotated[xs[n + 1]]
                - tree.lam[xs[n - 1]] * rotated[xs[n - 1]])
         rhs = rotated[xs[n]]
-        for y in tree.children[xs[n]]:
-            if y != xs[n - 1]:
-                rhs = rhs + tree.lam[y] * rotated[y]
+        for y in pair.path.sides[n]:
+            rhs = rhs + tree.lam[y] * rotated[y]
         step_ok = (lhs == rhs) and lhs.im == 0 and lhs.re > 0
         ok = ok and step_ok
         steps.append({"n": n, "ok": step_ok,
@@ -343,9 +333,9 @@ class PropagationResult:
         return self.obstruction is not None
 
 
-def propagate_real(tree: TreeTruncation, x: int, r: Fraction) -> PropagationResult:
-    """Attempt the path-and-side-ratio propagation at real z = r on the
-    subtree below x, normalized to 1 at the path's level-0 start.
+def propagate_real(tree: TreeTruncation, r: Fraction) -> PropagationResult:
+    """Attempt the path-and-side-ratio propagation at real z = r along
+    `default_path(tree)`, normalized to 1 at its level-0 start.
 
     Side subtrees are filled with multiples of their family rows
     evaluated at r.  A side attachment whose denominator vanishes while
@@ -353,23 +343,21 @@ def propagate_real(tree: TreeTruncation, x: int, r: Fraction) -> PropagationResu
     confirmed (or refuted) by exact elimination on the full system, so a
     reported obstruction is a proof, not a heuristic."""
     r = Fraction(r)
-    path = default_path(tree, top=x)
+    path = default_path(tree)
     # side subtrees whose up-polynomial is nonzero at r fold into the path
     # diagonal; the others can only carry the zero multiple
-    sides: list[list] = [[]]
-    diag = [tree.beta[path[0]]]
-    for k in range(1, len(path)):
+    sides: list[list] = []
+    diag = []
+    for x, ys in zip(path.vertices, path.sides):
         row, shift = [], Fraction(0)
-        for y in tree.children[path[k]]:
-            if y == path[k - 1]:
-                continue
+        for y in ys:
             fam = family(tree, y)
             den = fam.up_poly[y](r)
             if den:
                 shift += tree.lam[y] * fam.self_poly[y](r) / den
             row.append((y, fam, den))
         sides.append(row)
-        diag.append(tree.beta[path[k]] + shift)
+        diag.append(tree.beta[x] + shift)
     lam = [tree.lam[w] for w in path.vertices]
     walk = recurrence_values(lam.__getitem__, diag.__getitem__, r,
                              Fraction(1), (r - diag[0]) / lam[0], len(path) - 1)
@@ -393,14 +381,14 @@ def propagate_real(tree: TreeTruncation, x: int, r: Fraction) -> PropagationResu
         if blocked is not None:
             break
     if blocked is None:
-        return PropagationResult(_real_field(tree, x, r, f), None, None,
+        return PropagationResult(_real_field(tree, r, f), None, None,
                                  tuple(free))
     # decide feasibility exactly on the full system, right-hand side last
-    order = tree.descendants(x)
+    order = tree.descendants(tree.top)
     n = len(order)
     pos = {v: i for i, v in enumerate(order)}
     rows = [_equation_row(tree, w, pos, r, Fraction(0)) + [Fraction(0)]
-            for w in order if w != x and w not in tree.cut]
+            for w in order if w != tree.top and w not in tree.cut]
     norm_row = [Fraction(0)] * (n + 1)
     norm_row[pos[path[0]]] = norm_row[n] = Fraction(1)
     rows.append(norm_row)
@@ -409,18 +397,16 @@ def propagate_real(tree: TreeTruncation, x: int, r: Fraction) -> PropagationResu
     if sol is None:
         return PropagationResult(None, blocked, tree.ids[blocked], tuple(free))
     values = {v: sol[pos[v]] for v in order}
-    return PropagationResult(_real_field(tree, x, r, values), None, None,
+    return PropagationResult(_real_field(tree, r, values), None, None,
                              tuple(free))
 
 
-def _real_field(tree: TreeTruncation, x: int, r: Fraction,
+def _real_field(tree: TreeTruncation, r: Fraction,
                 values: dict[int, Fraction]) -> SolutionField:
-    sub = set(tree.descendants(x))
-    satisfied = frozenset(v for v in tree.interior() if v in sub and v != x)
     fld = SolutionField(
         tree, GaussianRational(r, Fraction(0)),
         {v: GaussianRational(val, Fraction(0)) for v, val in values.items()},
-        satisfied)
+        frozenset(tree.interior()))
     if not fld.verify():
         raise ValidationError("real propagation produced a nonzero residual")
     return fld
@@ -503,7 +489,7 @@ def growth_profile(tree: TreeTruncation, z: GaussianRational,
         mass.append(r.abs2() * (1 + sum(mass[c] for c in kids)))
         count.append(1 + sum(count[c] for c in kids))
     sizes, norms = [], []
-    for fv, ys in zip(red.v_path(), red.side_children):
+    for fv, ys in zip(red.v_path(), path.sides):
         sides = [red.cls[y] for y in ys]
         sizes.append(1 + sum(count[c] for c in sides))
         norms.append(fv.abs2() * (1 + sum(mass[c] for c in sides)))

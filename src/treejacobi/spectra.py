@@ -34,24 +34,14 @@ def char_poly(tree: TreeTruncation, at: int | None = None) -> Poly:
     phi: dict[int, Poly] = {}        # char poly of the subtree at v
     phi_open: dict[int, Poly] = {}   # char poly of the subtree minus v
     for v in tree._post_order(anchor):
-        kids = tree.children[v]
-        prod = ONE
-        for c in kids:
+        # over the children folded in so far: prod = prod_c phi(c), and
+        # cross = sum_c lambda_c^2 phi_open(c) prod_{c' != c} phi(c')
+        prod, cross = ONE, Poly()
+        for c in tree.children[v]:
+            cross = cross * phi[c] + (tree.lam[c] ** 2) * (phi_open[c] * prod)
             prod = prod * phi[c]
         phi_open[v] = prod
-        head = Poly([-tree.beta[v], 1]) * prod
-        if kids:
-            # prefix/suffix products of the sibling char polys
-            pre = [ONE]
-            for c in kids:
-                pre.append(pre[-1] * phi[c])
-            suf = [ONE]
-            for c in reversed(kids):
-                suf.append(suf[-1] * phi[c])
-            suf.reverse()
-            for i, c in enumerate(kids):
-                head = head - (tree.lam[c] ** 2) * (phi_open[c] * pre[i] * suf[i + 1])
-        phi[v] = head
+        phi[v] = Poly([-tree.beta[v], 1]) * prod - cross
     return phi[anchor]
 
 
@@ -189,11 +179,10 @@ def tree_inertia(tree: TreeTruncation, sigma: Fraction,
     return Inertia(below=below, at=zero, above=above)
 
 
-def eigenvalues_outside(tree: TreeTruncation, lo: Fraction, hi: Fraction,
-                        at: int | None = None) -> int:
+def eigenvalues_outside(tree: TreeTruncation, lo: Fraction, hi: Fraction) -> int:
     """Eigenvalue count (with multiplicity) outside the closed interval."""
-    return (tree_inertia(tree, Fraction(lo), at).below
-            + tree_inertia(tree, Fraction(hi), at).above)
+    return (tree_inertia(tree, Fraction(lo)).below
+            + tree_inertia(tree, Fraction(hi)).above)
 
 
 # ---------------------------------------------------------------------

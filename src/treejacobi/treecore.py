@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -148,6 +149,18 @@ class TreeTruncation:
             ratio.append(0 if den is None else lam[w] / den if den else None)
             rep.append(w)
         return order, cls, ratio, rep
+
+    def carry(self, f: dict, roots: Sequence[int], mult: Sequence,
+              cls: dict[int, int]):
+        """Extend f down the subtrees at `roots`, parents first, by
+        f(w) = mult[cls[w]] * f(parent w); f must hold the parent of every
+        root.  With the ratios of `class_ratios` as `mult` this is the
+        solution below each root; the sign-flipped truncation passes
+        `[-r for r in ratio]`."""
+        parent = self.parent
+        for s in roots:
+            for w in self.descendants(s):
+                f[w] = mult[cls[w]] * f[parent[w]]
 
     def subtree(self, x: int) -> "TreeTruncation":
         """The truncation below x, with x as its top; coefficients inherited."""
@@ -416,6 +429,16 @@ class PathSelection:
     def __getitem__(self, k):
         return self.vertices[k]
 
+    @cached_property
+    def sides(self) -> tuple[tuple[int, ...], ...]:
+        """Per x_k, the roots of the subtrees hanging off the path there:
+        the children of x_k other than x_{k-1} (x_0, on level 0, has
+        none)."""
+        children = self.tree.children
+        below = (None,) + self.vertices
+        return tuple(tuple(c for c in children[x] if c != b)
+                     for b, x in zip(below, self.vertices))
+
     def reaches_top(self) -> bool:
         return self.vertices[-1] == self.tree.top
 
@@ -424,25 +447,20 @@ class PathSelection:
         return [self.tree.ids[v] for v in self.vertices]
 
 
-def default_path(tree: TreeTruncation, top: int | None = None) -> PathSelection:
-    """Descend from the top to level 0, preferring the first child that
-    reaches level 0; the result runs upward from x_0 to the top."""
-    root = tree.top if top is None else top
-    reaches: dict[int, bool] = {}
-    for v in tree._post_order(root):
+def default_path(tree: TreeTruncation) -> PathSelection:
+    """The path up to the top from the first level-0 vertex of a
+    depth-first walk from the top that visits children in order."""
+    stack = [tree.top]
+    while stack:
+        v = stack.pop()
         if tree.level[v] == 0:
-            reaches[v] = True
-        else:
-            reaches[v] = any(reaches[c] for c in tree.children[v])
-    if not reaches[root]:
-        raise ValidationError(
-            f"no level-0 vertex below {tree.ids[root]!r}; cannot select a path")
-    chain = [root]
-    v = root
-    while tree.level[v] > 0:
-        v = next(c for c in tree.children[v] if reaches[c])
-        chain.append(v)
-    return PathSelection(tree, tuple(reversed(chain)))
+            chain = [v]
+            while tree.parent[chain[-1]] is not None:
+                chain.append(tree.parent[chain[-1]])
+            return PathSelection(tree, tuple(chain))
+        stack.extend(reversed(tree.children[v]))
+    raise ValidationError(
+        f"no level-0 vertex below {tree.ids[tree.top]!r}; cannot select a path")
 
 
 def path_from_ids(tree: TreeTruncation, names: Sequence[str]) -> PathSelection:

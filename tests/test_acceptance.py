@@ -177,7 +177,7 @@ def test_criterion_11_real_value_obstruction():
     rng = random.Random(1111)
     tree = path_tree(6, lam=lambda n: random_lambda(rng))
     for k in range(20):
-        ok = ok and not propagate_real(tree, tree.top, F(k - 10, 3)).obstructed
+        ok = ok and not propagate_real(tree, F(k - 10, 3)).obstructed
     _line(11, "obstruction at zero, none on the degenerate path", ok)
 
 

@@ -151,7 +151,7 @@ def test_rotated_positivity_random_weights():
 
 
 def test_propagate_real_star():
-    res = propagate_real(STAR, STAR.top, F(1))
+    res = propagate_real(STAR, F(1))
     assert not res.obstructed
     vals = {STAR.ids[k]: v for k, v in res.field.values.items()}
     assert all(v == GR(F(1), F(0)) for v in vals.values())
@@ -162,7 +162,7 @@ def test_propagate_real_path_never_obstructs():
                      beta=lambda n: F((-1) ** n, 3))
     for k in range(20):
         r = F(k - 10, 3)
-        res = propagate_real(tree, tree.top, r)
+        res = propagate_real(tree, r)
         assert not res.obstructed
         assert res.field.verify()
 
@@ -178,10 +178,10 @@ def test_propagate_real_minimal_obstruction():
       {"id": "x1", "level": 1, "beta": "0/1"}],
      "top": "x1", "top_lambda": "1/1"}
     """)
-    res = propagate_real(tree, tree.top, F(0))
+    res = propagate_real(tree, F(0))
     assert res.obstructed and res.obstruction_id == "y"
     # while at a generic r it succeeds
-    assert not propagate_real(tree, tree.top, F(2)).obstructed
+    assert not propagate_real(tree, F(2)).obstructed
 
 
 def test_propagate_real_free_side_choice():
@@ -194,23 +194,22 @@ def test_propagate_real_free_side_choice():
       {"id": "x1", "level": 1, "beta": "0/1"}],
      "top": "x1", "top_lambda": "1/1"}
     """)
-    res = propagate_real(tree, tree.top, F(0))
+    res = propagate_real(tree, F(0))
     assert not res.obstructed
     assert res.field.verify()
     assert "y" in res.free_choices
 
 
-def _feasible_by_rank(tree, x, r):
+def _feasible_by_rank(tree, r):
     """Independent feasibility route: a normalized field exists iff the
     origin functional is not in the row span of the interior equations."""
     from treejacobi.solutions import _echelon, _equation_row
-    from treejacobi.treecore import default_path as dp
-    order = tree.descendants(x)
+    order = tree.descendants(tree.top)
     pos = {v: i for i, v in enumerate(order)}
     rows = [_equation_row(tree, w, pos, F(r), F(0))
-            for w in order if w != x and w not in tree.cut]
+            for w in order if w != tree.top and w not in tree.cut]
     base = len(_echelon(rows, len(order))[1])
-    origin = dp(tree, top=x)[0]
+    origin = default_path(tree)[0]
     extra = [F(0)] * len(order)
     extra[pos[origin]] = F(1)
     return len(_echelon(rows + [extra], len(order))[1]) > base
@@ -224,8 +223,8 @@ def test_propagate_real_matches_rank_criterion():
     checked_obstructions = 0
     for tree in trees:
         for r in values:
-            res = propagate_real(tree, tree.top, r)
-            assert res.obstructed != _feasible_by_rank(tree, tree.top, r)
+            res = propagate_real(tree, r)
+            assert res.obstructed != _feasible_by_rank(tree, r)
             if res.obstructed:
                 checked_obstructions += 1
             else:

@@ -3,9 +3,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import exhaustive_corpus, leveled_shapes, all_shapes
+from conftest import (all_shapes, cut_shape_corpus, exhaustive_corpus, h23,
+                      h24, leveled_shapes, random_corpus)
 from treejacobi.errors import (ParseError, UnknownVertexError,
                                ValidationError)
+from treejacobi.exactmath import I
 from treejacobi.treecore import (PathSelection, TreeTruncation,
                                  build_from_spec, decorated_path_tree,
                                  default_path, generate, homogeneous_tree,
@@ -133,6 +135,100 @@ def test_path_selection():
     assert named.vertices == path.vertices
     with pytest.raises(ValidationError):
         PathSelection(h, (h.top,))  # top is not on level 0
+
+
+def test_path_sides_are_the_children_off_the_path():
+    d = decorated_path_tree(4)
+    path = default_path(d)
+    assert path.ids == ["x0", "x1", "x2", "x3", "x4"]
+    assert [[d.ids[y] for y in ys] for ys in path.sides] == \
+        [[], ["y0"], ["y1"], ["y2"], ["y3"]]
+    h = homogeneous_tree(3, 3)
+    path = default_path(h)
+    assert path.sides[0] == ()
+    for k in range(1, len(path)):
+        expected = [c for c in h.children[path[k]] if c != path[k - 1]]
+        assert list(path.sides[k]) == expected and len(expected) == 2
+    assert path.sides is path.sides  # computed once per path
+
+
+CARRY_TREE = """
+{"vertices": [
+  {"id": "a0", "parent": "a", "level": 0, "lambda": "1/1", "beta": "0/1"},
+  {"id": "a1", "parent": "a", "level": 0, "lambda": "1/1", "beta": "0/1"},
+  {"id": "a", "parent": "x", "level": 1, "lambda": "1/1", "beta": "0/1"},
+  {"id": "b0", "parent": "b", "level": 0, "lambda": "1/1", "beta": "0/1"},
+  {"id": "b", "parent": "x", "level": 1, "lambda": "1/1", "beta": "0/1"},
+  {"id": "x", "level": 2, "beta": "0/1"}],
+ "top": "x", "top_lambda": "1/1"}
+"""
+
+
+def test_carry_against_hand_computed_field():
+    t = build_from_spec(CARRY_TREE)
+    own = {v: v for v in range(t.size)}  # one class per vertex
+    mult = [F(0)] * t.size
+    for name, m in (("a", 2), ("a0", 3), ("a1", -1), ("b", F(1, 2)),
+                    ("b0", 4)):
+        mult[t.index_of(name)] = F(m)
+    f = {t.top: F(5)}
+    t.carry(f, [t.index_of("a")], mult, own)
+    assert [(t.ids[v], x) for v, x in f.items()] == \
+        [("x", 5), ("a", 10), ("a0", 30), ("a1", -10)]
+    t.carry(f, [t.index_of("b")], mult, own)
+    assert f[t.index_of("b")] == F(5, 2) and f[t.index_of("b0")] == 10
+    # by shape classes, a0, a1 and b0 share one multiplier
+    _, cls = t.shape_classes(t.top)
+    g = {t.top: F(1)}
+    t.carry(g, t.children[t.top], [F(k + 2) for k in range(4)], cls)
+    leaf = F(cls[t.index_of("a0")] + 2)
+    assert g[t.index_of("a1")] == g[t.index_of("a")] * leaf
+    assert g[t.index_of("b0")] == g[t.index_of("b")] * leaf
+
+
+def test_carry_of_class_ratios_solves_the_eigen_equation():
+    for tree in [h23(), h24()] + random_corpus(5, 20) + cut_shape_corpus(5):
+        _, cls, ratio, _ = tree.class_ratios(tree.top, I)
+        f = {tree.top: I}
+        tree.carry(f, tree.children[tree.top], ratio, cls)
+        assert sorted(f) == list(range(tree.size))
+        for v in tree.interior():
+            acc = I * f[v] - tree.beta[v] * f[v] - tree.lam[v] * f[tree.parent[v]]
+            for c in tree.children[v]:
+                acc = acc - tree.lam[c] * f[c]
+            assert not acc, (tree, v)
+
+
+def reachability_path(tree):
+    """The earlier `default_path`, the oracle: mark which vertices reach
+    level 0, then descend from the top by the first child that does."""
+    reaches = {}
+    for v in tree._post_order(tree.top):
+        reaches[v] = tree.level[v] == 0 or any(reaches[c]
+                                               for c in tree.children[v])
+    if not reaches[tree.top]:
+        raise ValidationError(f"no level-0 vertex below {tree.ids[tree.top]!r}; "
+                              f"cannot select a path")
+    chain = [tree.top]
+    while tree.level[chain[-1]] > 0:
+        chain.append(next(c for c in tree.children[chain[-1]] if reaches[c]))
+    return PathSelection(tree, tuple(reversed(chain)))
+
+
+def test_default_path_matches_reachability_oracle():
+    trees = (cut_shape_corpus() + random_corpus(3, 60) + exhaustive_corpus(6)
+             + [h23(), h24(), decorated_path_tree(5), homogeneous_tree(3, 3)])
+    for tree in trees:
+        assert default_path(tree) == reachability_path(tree), tree
+    # a cut-only tree has no path; both raise the same error
+    t = build_from_spec('{"vertices": ['
+                        '{"id": "a", "parent": "x", "level": 1, "lambda": "1/1", "beta": "0/1", "cut": true},'
+                        '{"id": "x", "level": 2, "beta": "0/1"}],'
+                        ' "top": "x", "top_lambda": "1/1"}')
+    for select in (default_path, reachability_path):
+        with pytest.raises(ValidationError,
+                           match="no level-0 vertex below 'x'; cannot select a path"):
+            select(t)
 
 
 def test_shape_enumeration_counts():
