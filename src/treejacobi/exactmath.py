@@ -1,7 +1,8 @@
 """Exact rational, Gaussian-rational and polynomial arithmetic.
 
 Scalars are `fractions.Fraction` (canonical form is the stdlib's job) and
-complex scalars are :class:`GaussianRational`, a pair of Fractions.  A
+complex scalars are :class:`GaussianRational`, one Gaussian integer over
+one positive denominator, three plain ints in lowest terms.  A
 polynomial (:class:`Poly`) is a positive rational content times a
 primitive integer coefficient tuple, so its arithmetic is integer
 arithmetic plus one content operation.  Everything here is exact: there
@@ -68,90 +69,164 @@ def parse_gaussian(text: str) -> "GaussianRational":
     return GaussianRational(re_part, im_part)
 
 
-@dataclass(frozen=True)
 class GaussianRational:
-    """Complex number with exact rational real and imaginary parts."""
+    """Complex number with exact rational real and imaginary parts.
 
-    re: Fraction
-    im: Fraction
+    One canonical form: (re_num + im_num i) / den in three plain ints,
+    with den > 0 and gcd(re_num, im_num, den) = 1, so equal values have
+    equal slots.  Arithmetic with another Gaussian, an int or a Fraction
+    (on either side) reads the operand's numerator and denominator
+    directly and reduces the result once, in `_lowest`."""
 
-    def __post_init__(self):
-        if type(self.re) is not Fraction:
-            object.__setattr__(self, "re", Fraction(self.re))
-        if type(self.im) is not Fraction:
-            object.__setattr__(self, "im", Fraction(self.im))
+    __slots__ = ("re_num", "im_num", "den")
+
+    def __new__(cls, re, im):
+        re = re if isinstance(re, (int, Fraction)) else Fraction(re)
+        im = im if isinstance(im, (int, Fraction)) else Fraction(im)
+        p, q, r, s = re.numerator, re.denominator, im.numerator, im.denominator
+        return _lowest(p * s, r * q, q * s)
+
+    def __reduce__(self):
+        # pickle and copy (`dataclasses.asdict` deep-copies) rebuild from parts
+        return GaussianRational, (self.re, self.im)
 
     @staticmethod
     def of(value) -> "GaussianRational":
         if isinstance(value, GaussianRational):
             return value
-        return GaussianRational(Fraction(value), Fraction(0))
+        if not isinstance(value, (int, Fraction)):
+            value = Fraction(value)
+        return _gaussian(value.numerator, 0, value.denominator)
+
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.re_num, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.im_num, self.den)
 
     def __bool__(self) -> bool:
-        return bool(self.re) or bool(self.im)
+        return bool(self.re_num) or bool(self.im_num)
 
     def __add__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(self.re + o.re, self.im + o.im)
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, d = self.re_num, self.im_num, self.den
+        c, e, f = o
+        return _lowest(a * f + c * d, b * f + e * d, d * f)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return GaussianRational(-self.re, -self.im)
+        return _gaussian(-self.re_num, -self.im_num, self.den)
 
     def __sub__(self, other):
-        return self + (-GaussianRational.of(other))
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, d = self.re_num, self.im_num, self.den
+        c, e, f = o
+        return _lowest(a * f - c * d, b * f - e * d, d * f)
 
     def __rsub__(self, other):
-        return GaussianRational.of(other) + (-self)
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, d = self.re_num, self.im_num, self.den
+        c, e, f = o
+        return _lowest(c * d - a * f, e * d - b * f, d * f)
 
     def __mul__(self, other):
-        o = GaussianRational.of(other)
-        return GaussianRational(
-            self.re * o.re - self.im * o.im, self.re * o.im + self.im * o.re
-        )
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, d = self.re_num, self.im_num, self.den
+        c, e, f = o
+        return _lowest(a * c - b * e, a * e + b * c, d * f)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        o = GaussianRational.of(other)
-        d = o.abs2()
-        if d == 0:
-            raise ZeroDivisionError("division by zero Gaussian rational")
-        return GaussianRational(
-            (self.re * o.re + self.im * o.im) / d,
-            (self.im * o.re - self.re * o.im) / d,
-        )
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return _quotient(self.re_num, self.im_num, self.den, *o)
 
     def __rtruediv__(self, other):
-        return GaussianRational.of(other) / self
+        o = _parts(other)
+        if o is None:
+            return NotImplemented
+        return _quotient(*o, self.re_num, self.im_num, self.den)
 
     def __eq__(self, other):
+        if isinstance(other, GaussianRational):
+            return (self.re_num == other.re_num and self.im_num == other.im_num
+                    and self.den == other.den)
         if isinstance(other, (int, Fraction)):
-            other = GaussianRational.of(other)
-        if not isinstance(other, GaussianRational):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+            return (not self.im_num and self.re_num == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # a real value hashes as the Fraction (or int) it equals
+        return hash(self.re) if not self.im_num else hash((self.re, self.im))
 
     def conjugate(self) -> "GaussianRational":
-        return GaussianRational(self.re, -self.im)
+        return _gaussian(self.re_num, -self.im_num, self.den)
 
     def abs2(self) -> Fraction:
         """|w|^2 as an exact nonnegative rational."""
-        return self.re * self.re + self.im * self.im
+        a, b = self.re_num, self.im_num
+        return Fraction(a * a + b * b, self.den * self.den)
 
     def __str__(self) -> str:
-        sign = "+" if self.im >= 0 else "-"
-        return f"{format_rational(self.re)}{sign}{format_rational(abs(self.im))}i"
+        re, im = self.re, self.im
+        sign = "+" if im >= 0 else "-"
+        return f"{format_rational(re)}{sign}{format_rational(abs(im))}i"
 
     def __repr__(self) -> str:
         return f"GaussianRational({self.re!r}, {self.im!r})"
 
 
-I = GaussianRational(Fraction(0), Fraction(1))
+def _gaussian(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d from a canonical triple, taken as it is."""
+    w = object.__new__(GaussianRational)
+    w.re_num, w.im_num, w.den = a, b, d
+    return w
+
+
+def _lowest(a: int, b: int, d: int) -> GaussianRational:
+    """(a + b i) / d in lowest terms, for d > 0: the one normalization.
+    `math.gcd(d, a, b)` stops at the first 1, so a result whose real
+    part is already coprime to d costs one two-way gcd."""
+    g = math.gcd(d, a, b)
+    if g != 1:
+        a, b, d = a // g, b // g, d // g
+    return _gaussian(a, b, d)
+
+
+def _parts(x) -> tuple[int, int, int] | None:
+    """(re_num, im_num, den) of a Gaussian, an int or a Fraction operand,
+    read without building a Gaussian; None for any other type."""
+    if isinstance(x, GaussianRational):
+        return x.re_num, x.im_num, x.den
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, 0, x.denominator
+    return None
+
+
+def _quotient(a: int, b: int, d: int, c: int, e: int, f: int) -> GaussianRational:
+    """((a + b i)/d) / ((c + e i)/f), by the conjugate of the divisor:
+    (a + b i)(c - e i) f / (d (c^2 + e^2)), reduced once."""
+    n = c * c + e * e
+    if not n:
+        raise ZeroDivisionError("division by zero Gaussian rational")
+    return _lowest((a * c + b * e) * f, (b * c - a * e) * f, d * n)
+
+
+I = _gaussian(0, 1, 1)
 
 
 class Poly:
@@ -187,6 +262,11 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.prim
+
+    def coefficient_signs(self) -> tuple[int, ...]:
+        """The sign (-1, 0 or 1) of each coefficient, lowest degree first:
+        those of the integer tuple, as the content is positive."""
+        return tuple([(c > 0) - (c < 0) for c in self.prim])
 
     def leading(self) -> Fraction:
         if self.is_zero:
@@ -252,48 +332,27 @@ class Poly:
     __rmul__ = __mul__
 
     def __divmod__(self, other: "Poly"):
-        """The one polynomial division, (q, r) with self = q*other + r and
-        deg r < deg other, on the primitive parts: a step whose head the
-        divisor's leading integer does not divide first scales remainder
-        and quotient by |lead| (a pseudo-division step).  By Gauss's lemma
-        an exact division never scales."""
-        b = other.prim
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        db = len(b) - 1
-        rem = list(self.prim)
-        lb = b[-1]
-        m = abs(lb)
-        quot = [0] * max(len(rem) - db, 0)
-        scale = 1
-        for i in range(len(rem) - 1, db - 1, -1):
-            head = rem[i]
-            if not head:
-                continue
-            f, r = divmod(head, lb)
-            if r:
-                scale *= m
-                rem = [m * c for c in rem]
-                quot = [m * c for c in quot]
-                f = head if lb > 0 else -head
-            off = i - db
-            quot[off] = f
-            for j, c in enumerate(b):
-                rem[off + j] -= f * c
+        """(q, r) with self = q*other + r and deg r < deg other."""
+        quot, rem, scale = _pseudo_divmod(self.prim, other.prim)
         ca, cb = self.content, other.content
         return (_poly(*_canonical(quot, ca.numerator * cb.denominator,
                                   ca.denominator * cb.numerator * scale)),
-                _poly(*_canonical(rem[:db], ca.numerator, ca.denominator * scale)))
+                _poly(*_canonical(rem, ca.numerator, ca.denominator * scale)))
 
     def __mod__(self, other: "Poly") -> "Poly":
-        return divmod(self, other)[1]
+        _, rem, scale = _pseudo_divmod(self.prim, other.prim)
+        c = self.content
+        return _poly(*_canonical(rem, c.numerator, c.denominator * scale))
 
     def exact_div(self, other: "Poly") -> "Poly":
         """Quotient of an exact division; DivisionError on nonzero remainder."""
-        q, r = divmod(self, other)
-        if not r.is_zero:
-            raise DivisionError(f"inexact polynomial division: remainder degree {r.degree}")
-        return q
+        quot, rem, scale = _pseudo_divmod(self.prim, other.prim)
+        if any(rem):
+            degree = max(i for i, c in enumerate(rem) if c)
+            raise DivisionError(f"inexact polynomial division: remainder degree {degree}")
+        ca, cb = self.content, other.content
+        return _poly(*_canonical(quot, ca.numerator * cb.denominator,
+                                 ca.denominator * cb.numerator * scale))
 
     def derivative(self) -> "Poly":
         c = self.content
@@ -301,13 +360,19 @@ class Poly:
                                  c.numerator, c.denominator))
 
     def __call__(self, x):
-        """Evaluate at a GaussianRational by Horner's rule, and at a
-        rational n/d by homogeneous Horner in plain ints."""
+        """Evaluate at a rational n/d, or a Gaussian rational (a+bi)/d,
+        by homogeneous Horner in plain ints, reduced once at the end."""
         if isinstance(x, GaussianRational):
-            acc = GaussianRational(0, 0)
+            # homogeneous Horner in Gaussian integers: sum c_i (a+bi)^i d^(deg-i)
+            a, b, d = x.re_num, x.im_num, x.den
+            re = im = 0
+            dk = 1
             for c in reversed(self.prim):
-                acc = acc * x + c
-            return acc * self.content
+                re, im = re * a - im * b + c * dk, re * b + im * a
+                dk *= d
+            k = self.content
+            return _lowest(k.numerator * re, k.numerator * im,
+                           k.denominator * d ** max(self.degree, 0))
         x, c = Fraction(x), self.content
         return Fraction(c.numerator * _homogeneous(self.prim, x.numerator, x.denominator),
                         c.denominator * x.denominator ** max(self.degree, 0))
@@ -336,6 +401,39 @@ def _poly(content: Fraction, prim: tuple[int, ...]) -> Poly:
     p = object.__new__(Poly)
     p.content, p.prim = content, prim
     return p
+
+
+def _pseudo_divmod(a: Sequence[int], b: Sequence[int]) -> tuple[list[int], list[int], int]:
+    """The one polynomial division, on integer coefficient lists (lowest
+    degree first, b nonzero with no trailing zero): (quot, rem, scale)
+    with scale * a = quot * b + rem and len(rem) = deg b.  A step whose
+    head the leading integer of b does not divide first scales remainder
+    and quotient by |lead| (a pseudo-division step); by Gauss's lemma an
+    exact division of primitive polynomials never scales.  The caller
+    reduces only the parts it reads."""
+    if not b:
+        raise ZeroDivisionError("polynomial division by zero")
+    db = len(b) - 1
+    rem = list(a)
+    lb = b[-1]
+    m = abs(lb)
+    quot = [0] * max(len(rem) - db, 0)
+    scale = 1
+    for i in range(len(rem) - 1, db - 1, -1):
+        head = rem[i]
+        if not head:
+            continue
+        f, r = divmod(head, lb)
+        if r:
+            scale *= m
+            rem = [m * c for c in rem]
+            quot = [m * c for c in quot]
+            f = head if lb > 0 else -head
+        off = i - db
+        quot[off] = f
+        for j, c in enumerate(b):
+            rem[off + j] -= f * c
+    return quot, rem[:db], scale
 
 
 def _homogeneous(prim: Sequence[int], n: int, d: int) -> int:

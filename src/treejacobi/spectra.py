@@ -11,9 +11,9 @@ family recursion and serves as the oracle for the spectral factorization:
 
 (all factors monic, t ranging over the internal vertices, c over the
 children of t).  Eigenvalue counting against rational thresholds is done
-two ways: Sturm counts on the characteristic polynomial, and the signs of
-the pivots of the tree elimination (`TreeTruncation.class_ratios`), O(n)
-and far beyond the reach of polynomial chains.
+two ways: Descartes' rule of signs on the characteristic polynomial
+(negative eigenvalues only), and the signs of the pivots of the tree
+elimination (`TreeTruncation.class_ratios`), O(n) per threshold.
 """
 
 from __future__ import annotations
@@ -21,9 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import (ONE, Poly, RootSet, count_real_roots,
-                        isolate_real_roots, poly_gcd,
-                        square_free_decomposition)
+from .exactmath import ONE, Poly, RootSet, isolate_real_roots, poly_gcd
 from .treecore import TreeTruncation
 from .treepoly import PolyFamily, family
 
@@ -124,15 +122,18 @@ def verify_spectral_identity(fam: PolyFamily, char: Poly) -> bool:
 
 def count_negative_eigenvalues(p: Poly) -> int:
     """Number of eigenvalues in (-inf, 0), with multiplicity, of a
-    truncation whose characteristic polynomial is p, via Sturm counts."""
-    total = 0
-    # strip eigenvalue 0 so the interval stays open at the right end
-    while p(Fraction(0)) == 0:
-        p = p.exact_div(Poly([0, 1]))
-    for g, mult in square_free_decomposition(p):
-        if g.degree >= 1:
-            total += mult * count_real_roots(g, None, Fraction(0))
-    return total
+    truncation whose characteristic polynomial is p: the sign variations
+    of the nonzero coefficients of p(-z).
+
+    Precondition: p is real-rooted, as the characteristic polynomial of a
+    real symmetric matrix is.  For a real-rooted polynomial Descartes'
+    rule of signs is exact: the variations count the positive roots of
+    p(-z), with multiplicity (Basu-Pollack-Roy, Algorithms in Real
+    Algebraic Geometry, Sec. 2.2).  A root at 0 leaves zero low
+    coefficients, which are skipped, so it is not counted."""
+    signs = [-s if i & 1 else s
+             for i, s in enumerate(p.coefficient_signs()) if s]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
 
 
 # ---------------------------------------------------------------------

@@ -106,6 +106,11 @@ def h24() -> TreeTruncation:
     return _random_homogeneous(2, 4, 41)
 
 
+def h25() -> TreeTruncation:
+    """The binary tree of depth 5 (63 vertices) with seeded weights."""
+    return _random_homogeneous(2, 5, 7)
+
+
 def random_leveled_tree(rng: random.Random, depth: int,
                         extra_chains: int = 3,
                         coincident: bool = False) -> TreeTruncation:

@@ -3,7 +3,9 @@
 This is the isolation `exactmath` used before it bisected by the sign
 of the factor: every count is V(lo) - V(hi) over the public
 `sturm_chain`, and every refinement step halves the interval by such a
-count.  It shares no evaluator with the package: chain signs come from
+count.  `sturm_negative_count` is the negative-eigenvalue count
+`spectra` made before it read Descartes' signs: Sturm counts on the
+square-free factors, weighted by multiplicity.  It shares no evaluator with the package: chain signs come from
 a plain power sum, root tests from Fraction evaluation, so a wrong
 integer sign in the package shows up as a different interval.
 """
@@ -12,7 +14,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from treejacobi.exactmath import Poly, cauchy_root_bound, sturm_chain
+from treejacobi.exactmath import (X, Poly, cauchy_root_bound,
+                                  square_free_decomposition, sturm_chain)
 
 
 def _integer_chain(g: Poly) -> list[list[int]]:
@@ -46,6 +49,14 @@ def sturm_count(chain: list[list[int]], lo: Fraction | None,
                 hi: Fraction | None) -> int:
     """Distinct roots of chain[0] in (lo, hi]; None means -/+ infinity."""
     return _variations(chain, lo, False) - _variations(chain, hi, True)
+
+
+def sturm_negative_count(p: Poly) -> int:
+    """Roots of p in (-inf, 0), with multiplicity, by Sturm counts."""
+    while p(Fraction(0)) == 0:  # strip the root at 0: 0 closes (-inf, 0]
+        p = p.exact_div(X)
+    return sum(mult * sturm_count(_integer_chain(g), None, Fraction(0))
+               for g, mult in square_free_decomposition(p) if g.degree >= 1)
 
 
 def sturm_isolate_square_free(g: Poly) -> list[tuple[Fraction, Fraction]]:

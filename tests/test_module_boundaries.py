@@ -7,13 +7,16 @@
   so `classical1d` is a leaf next to `exactmath`;
 * the representation of a polynomial stays inside `exactmath`: no other
   module reads the `Poly` slots, only `coeffs`, `leading()` and
-  `degree`."""
+  `degree`; likewise no other module reads the `GaussianRational`
+  slots, only `re` and `im`;
+* no source file has a float or complex literal or names `float`: no
+  decision is made in floating point."""
 
 import ast
 from pathlib import Path
 
 import treejacobi
-from treejacobi.exactmath import Poly
+from treejacobi.exactmath import GaussianRational, Poly
 
 SRC = Path(treejacobi.__file__).resolve().parent
 LAYERS = ("errors", "exactmath", "classical1d", "treecore", "treepoly",
@@ -81,3 +84,27 @@ def test_only_exactmath_reads_the_poly_slots():
     others = sorted(set(SRC.glob("*.py")) - {SRC / "exactmath.py"})
     assert [line for m in others for line in slot_reads(m, Poly.__slots__)] == []
     assert slot_reads(SRC / "exactmath.py", Poly.__slots__) != []
+
+
+def test_only_exactmath_reads_the_gaussian_slots():
+    assert set(GaussianRational.__slots__) == {"re_num", "im_num", "den"}
+    slots = GaussianRational.__slots__
+    others = sorted(set(SRC.glob("*.py")) - {SRC / "exactmath.py"})
+    assert [line for m in others for line in slot_reads(m, slots)] == []
+    assert slot_reads(SRC / "exactmath.py", slots) != []
+
+
+def float_uses(path: Path) -> list[str]:
+    """Every float or complex literal and every use of the name `float`."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Constant) and type(node.value) in (float, complex):
+            found.append(f"{path.name}:{node.lineno} literal {node.value!r}")
+        elif isinstance(node, ast.Name) and node.id == "float":
+            found.append(f"{path.name}:{node.lineno} names float")
+    return found
+
+
+def test_no_floats_in_the_package():
+    assert float_uses(Path(__file__)) != []  # the check sees this file's tuple
+    assert [line for m in sorted(SRC.glob("*.py")) for line in float_uses(m)] == []

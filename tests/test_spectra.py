@@ -6,8 +6,8 @@ from fractions import Fraction as F
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (cut_shape_corpus, exhaustive_corpus, random_corpus,
-                      random_lambda, random_beta)
+from conftest import (cut_shape_corpus, exhaustive_corpus, h23, h24, h25,
+                      random_corpus, random_lambda, random_beta)
 from treejacobi.exactmath import (ONE, Poly, X, count_real_roots,
                                   isolate_real_roots,
                                   square_free_decomposition)
@@ -18,6 +18,7 @@ from treejacobi.spectra import (char_poly, count_negative_eigenvalues,
                                 verify_spectral_identity)
 from treejacobi.treecore import build_from_spec, homogeneous_tree, path_tree
 from treejacobi.treepoly import family
+from sturm_oracle import sturm_negative_count
 from tree_elimination_oracle import (pivot_inertia, tree_solve,
                                      truncated_operator)
 
@@ -123,6 +124,19 @@ def test_negative_counts():
     assert count_negative_eigenvalues(char_poly(leaf)) == 1
     star4 = homogeneous_tree(2, 1, beta=F(4))
     assert count_negative_eigenvalues(char_poly(star4)) == 0
+
+
+def test_descartes_negative_count_matches_sturm_oracle():
+    """Descartes' count equals the Sturm count on every char poly, with
+    roots at 0 and repeated roots (the unit and coincident regimes)."""
+    trees = (random_corpus(7, 60) + exhaustive_corpus(6)
+             + [h23(), h24(), h25()])
+    for tree in trees:
+        p = char_poly(tree)
+        assert count_negative_eigenvalues(p) == sturm_negative_count(p), tree.ids
+    # a root at 0 of multiplicity 2 and a double negative root
+    p = X * X * Poly([1, 1]) * Poly([1, 1]) * Poly([-3, 1])
+    assert count_negative_eigenvalues(p) == sturm_negative_count(p) == 2
 
 
 def _sturm_counts(p, sigma):
