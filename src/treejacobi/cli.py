@@ -40,7 +40,7 @@ def _parse_depths(text: str) -> list[int]:
 
 
 def _resolve_path(tree, arg: str | None):
-    if arg:
+    if arg is not None:
         return path_from_ids(tree, arg.split(","))
     return default_path(tree)
 
@@ -62,10 +62,10 @@ def _finish(args_list, inputs, results, failures) -> int:
 
 def _cmd_poly(args, argv) -> int:
     tree = _load_tree(args.tree)
-    at = tree.index_of(args.at) if args.at else tree.top
+    at = tree.top if args.at is None else tree.index_of(args.at)
     fam = treepoly.family(tree, at)
     results: dict = {"anchor": tree.ids[at]}
-    if args.target:
+    if args.target is not None:
         t = tree.index_of(args.target)
         entry = fam.up_poly[at] if t == tree.parent[at] else fam.entry(at, t)
         results["entry"] = {"target": args.target, "coefficients": entry}
@@ -81,9 +81,10 @@ def _cmd_poly(args, argv) -> int:
 
 def _cmd_spectrum(args, argv) -> int:
     tree = _load_tree(args.tree)
-    at = tree.index_of(args.at) if args.at else tree.top
+    at = tree.top if args.at is None else tree.index_of(args.at)
     fam = treepoly.family(tree, at)
-    width = parse_rational(args.width) if args.width else Fraction(1, 2 ** 32)
+    width = (Fraction(1, 2 ** 32) if args.width is None
+             else parse_rational(args.width))
     desc = spectra.spectral_description(fam, width)
     char = spectra.char_poly(tree, at)
     results: dict = {
@@ -112,7 +113,7 @@ def _cmd_solve(args, argv) -> int:
     path = _resolve_path(tree, args.path)
     failures = []
     if z.im == 0:
-        if args.path:
+        if args.path is not None:
             raise ValueError("--path applies to nonreal z; real-value "
                              "propagation chooses its own path")
         res = solutions.propagate_real(tree, z.re)
@@ -310,7 +311,7 @@ def _cmd_construct(args, argv) -> int:
             failures.append("expected an obstruction at the real value 0")
     else:
         raise ValueError(f"unknown example {args.example!r}")
-    if args.out:
+    if args.out is not None:
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(tree.to_json())
         results["out"] = args.out

@@ -11,9 +11,10 @@ remainder sequences of primitive integer polynomials and rational
 comparisons, and every sign of a polynomial at a rational point n/d is
 taken in plain ints (homogeneous Horner, no Fraction arithmetic): root
 counting evaluates an integer Sturm chain at the interval ends, root
-refinement bisects by the sign of the square-free factor alone, and
-strict interlacing reads the Cauchy index off the leading coefficients
-of one remainder sequence, with no evaluation at all.
+isolation and refinement bisect integer numerators over one denominator
+(refinement by the sign of the square-free factor alone), and strict
+interlacing reads the Cauchy index off the leading coefficients of one
+remainder sequence, with no evaluation at all.
 
 Text formats:
 
@@ -526,20 +527,21 @@ def _sign_at(p: Poly, x: Fraction) -> int:
     return (acc > 0) - (acc < 0)
 
 
-def _sign_changes(signs: Iterable[int]) -> int:
+def _sign_changes(values: Iterable[int]) -> int:
     changes = 0
     prev = 0
-    for s in signs:
-        if s == 0:
+    for v in values:
+        if not v:
             continue
-        if prev and s != prev:
+        if prev and (v > 0) != (prev > 0):
             changes += 1
-        prev = s
+        prev = v
     return changes
 
 
-def _variations_at(chain: Sequence[Poly], x: Fraction) -> int:
-    return _sign_changes(_sign_at(c, x) for c in chain)
+def _variations_at(chain: Sequence[Poly], n: int, d: int) -> int:
+    """Sign variations of the chain at n/d, d > 0: the one chain evaluator."""
+    return _sign_changes([_homogeneous(c.prim, n, d) for c in chain])
 
 
 def _variations_at_inf(chain: Sequence[Poly], positive: bool) -> int:
@@ -547,14 +549,6 @@ def _variations_at_inf(chain: Sequence[Poly], positive: bool) -> int:
     return _sign_changes((1 if c.prim[-1] > 0 else -1)
                          * (1 if positive else (-1) ** c.degree)
                          for c in chain)
-
-
-def _chain_count(chain: Sequence[Poly], lo: Fraction | None,
-                 hi: Fraction | None) -> int:
-    """Distinct roots of chain[0] in (lo, hi]; lo must not be a root."""
-    va = _variations_at(chain, lo) if lo is not None else _variations_at_inf(chain, False)
-    vb = _variations_at(chain, hi) if hi is not None else _variations_at_inf(chain, True)
-    return va - vb
 
 
 def count_real_roots(p: Poly, lo: Fraction | None = None,
@@ -571,7 +565,11 @@ def count_real_roots(p: Poly, lo: Fraction | None = None,
     chain = sturm_chain(p)
     if lo is not None and _sign_at(chain[0], lo) == 0:
         raise ValueError("left endpoint must not be a root")
-    return _chain_count(chain, lo, hi)
+    va = (_variations_at_inf(chain, False) if lo is None
+          else _variations_at(chain, lo.numerator, lo.denominator))
+    vb = (_variations_at_inf(chain, True) if hi is None
+          else _variations_at(chain, hi.numerator, hi.denominator))
+    return va - vb
 
 
 def cauchy_root_bound(p: Poly) -> Fraction:
@@ -650,37 +648,34 @@ class RootSet:
 
 
 def _isolate_square_free(g: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint half-open intervals (a, b], one distinct root of g in each."""
+    """Disjoint half-open intervals (a, b], one distinct root of g in each.
+    A stack entry (a, b, V(a), V(b), d) is (a/d, b/d] with the chain's sign
+    variations at its ends, so a split evaluates the chain once: at the
+    midpoint, nudged toward a off the roots of g, ((k-1)a + b) / (kd)."""
     if g.degree == 0:
         return []
     chain = sturm_chain(g)
+    gp = g.prim
     bound = cauchy_root_bound(g)
+    n, d = bound.numerator, bound.denominator
     out: list[tuple[Fraction, Fraction]] = []
-    total = _chain_count(chain, -bound, bound)
-    stack = [(-bound, bound, total)]
+    stack = [(-n, n, _variations_at(chain, -n, d),
+              _variations_at(chain, n, d), d)]
     while stack:
-        a, b, cnt = stack.pop()
-        if cnt == 0:
-            continue
+        a, b, va, vb, d = stack.pop()
+        cnt = va - vb
         if cnt == 1:
-            out.append((a, b))
-            continue
-        m = _non_root_split(chain[0], a, b)
-        left = _chain_count(chain, a, m)
-        stack.append((a, m, left))
-        stack.append((m, b, cnt - left))
+            out.append((Fraction(a, d), Fraction(b, d)))
+        elif cnt > 1:
+            k = 2
+            while not _homogeneous(gp, (k - 1) * a + b, k * d):
+                k += 1
+            m = (k - 1) * a + b
+            vm = _variations_at(chain, m, k * d)
+            stack.append((k * a, m, va, vm, k * d))
+            stack.append((m, k * b, vm, vb, k * d))
     out.sort()
     return out
-
-
-def _non_root_split(g: Poly, a: Fraction, b: Fraction) -> Fraction:
-    # midpoint, nudged toward a until it is not a root of g
-    k = 2
-    while True:
-        m = a + (b - a) / k
-        if _sign_at(g, m) != 0:
-            return m
-        k += 1
 
 
 def _refine_interval(g: Poly, a: Fraction, b: Fraction,
@@ -689,19 +684,24 @@ def _refine_interval(g: Poly, a: Fraction, b: Fraction,
 
     g is a square-free factor with exactly one root
     in (a, b] and g(a) != 0, so that root lies in (a, m) exactly when g
-    changes sign between a and the midpoint m.  A midpoint that is the
-    root itself is returned as the exact interval (m, m)."""
-    sa = _sign_at(g, a)
-    while b - a > width:
-        m = a + (b - a) / 2
-        sm = _sign_at(g, m)
-        if sm == 0:
-            return m, m
-        if sm != sa:
-            b = m
+    changes sign between a and the midpoint m, taken on numerators over
+    one denominator d.  A midpoint that is the root itself is returned as
+    the exact interval (m, m)."""
+    d = math.lcm(a.denominator, b.denominator)
+    lo, hi = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
+    wn, wd = width.numerator, width.denominator
+    left = _homogeneous(g.prim, lo, d) > 0
+    while (hi - lo) * wd > wn * d:
+        m = lo + hi
+        d *= 2
+        sm = _homogeneous(g.prim, m, d)
+        if not sm:
+            return Fraction(m, d), Fraction(m, d)
+        if (sm > 0) != left:
+            lo, hi = 2 * lo, m
         else:
-            a = m
-    return a, b
+            lo, hi = m, 2 * hi
+    return Fraction(lo, d), Fraction(hi, d)
 
 
 def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootSet:

@@ -191,7 +191,9 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
     trailing right-hand-side column rides along).  Returns the row
     echelon form and its pivot columns; the rank is the number of pivots,
     and rows past the last pivot row are zero in the first `ncols`
-    columns."""
+    columns.  Rows below the pivot row are zero left of `col`, as is the
+    pivot row, so an update rebuilds a row from column `col` on; the
+    caller's rows are never mutated."""
     work = list(rows)
     pivots: list[int] = []
     for col in range(ncols):
@@ -200,12 +202,14 @@ def _echelon(rows: list[list], ncols: int) -> tuple[list[list], list[int]]:
         if piv is None:
             continue
         work[rank], work[piv] = work[piv], work[rank]
-        head = work[rank][col]
+        pivot_tail = work[rank][col:]
+        head = pivot_tail[0]
         for i in range(rank + 1, len(work)):
-            if work[i][col]:
-                f = work[i][col] / head
-                work[i] = [a - f * b if b else a
-                           for a, b in zip(work[i], work[rank])]
+            row = work[i]
+            if row[col]:
+                f = row[col] / head
+                work[i] = row[:col] + [a - f * b if b else a
+                                       for a, b in zip(row[col:], pivot_tail)]
         pivots.append(col)
         if len(pivots) == len(work):
             break

@@ -353,7 +353,10 @@ def homogeneous_tree(d: int, depth: int, lam=Fraction(1),
             for i in range(d):
                 add(address + (i,), f"{name}.{i}", idx)
 
-    add((), "r", None)
+    try:
+        add((), "r", None)
+    finally:
+        del add  # the closure refers to itself: break the cycle
     return TreeTruncation(ids, 0, parent, level, lams, betas)
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from treejacobi.treecore import TreeTruncation, homogeneous_tree
+from treejacobi.treecore import TreeTruncation, homogeneous_tree, path_tree
 
 # a shape is a tuple of child shapes, sorted; () is a leaf
 
@@ -109,6 +109,14 @@ def h24() -> TreeTruncation:
 def h25() -> TreeTruncation:
     """The binary tree of depth 5 (63 vertices) with seeded weights."""
     return _random_homogeneous(2, 5, 7)
+
+
+def seeded_path(depth: int, seed: int = 3) -> TreeTruncation:
+    """pN: the path x_0 .. x_depth with weights from `Random(seed)`,
+    every lambda drawn before any beta."""
+    rng = random.Random(seed)
+    return path_tree(depth, lam=lambda k: random_lambda(rng),
+                     beta=lambda k: random_beta(rng))
 
 
 def random_leveled_tree(rng: random.Random, depth: int,

@@ -59,8 +59,10 @@ def sturm_negative_count(p: Poly) -> int:
                for g, mult in square_free_decomposition(p) if g.degree >= 1)
 
 
-def sturm_isolate_square_free(g: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint (a, b], one root of the square-free g in each, sorted."""
+def sturm_isolate_square_free(g: Poly, splits: list | None = None
+                              ) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint (a, b], one root of the square-free g in each, sorted.
+    The split points, in the order they are made, go to `splits`."""
     if g.degree < 1:
         return []
     chain = _integer_chain(g)
@@ -76,6 +78,8 @@ def sturm_isolate_square_free(g: Poly) -> list[tuple[Fraction, Fraction]]:
             while g(a + (b - a) / k) == 0:  # midpoint, nudged toward a
                 k += 1
             m = a + (b - a) / k
+            if splits is not None:
+                splits.append(m)
             left = sturm_count(chain, a, m)
             stack += [(a, m, left), (m, b, cnt - left)]
     return sorted(out)

@@ -216,11 +216,21 @@ BOOL_LEVEL = STAR.replace('"level": 1, "beta"', '"level": true, "beta"')
             "--z=1/2"]),
     (None, ["growth", "--generator", "homogeneous:0", "--depths", "3..4"]),
     (None, ["growth", "--generator", "homogeneous:x", "--depths", "3..4"]),
+    (STAR, ["spectrum", "--width="]),
+    (STAR, ["spectrum", "--at="]),
+    (STAR, ["poly", "--at="]),
+    (STAR, ["poly", "--target="]),
+    (STAR, ["solve", "--path="]),
+    (STAR, ["wronskian", "--path="]),
+    (None, ["construct", "--example", "real-obstruction", "--depth", "2",
+            "--out="]),
 ], ids=["beta-1/0", "numeric-top_lambda", "z-1/0", "unknown-at",
         "unknown-target", "width-0", "width-negative", "numeric-beta",
         "numeric-lambda", "string-level", "bool-level", "empty-depths",
         "negative-classical-depth", "growth-real-z", "growth-branching-0",
-        "growth-branching-x"])
+        "growth-branching-x", "empty-width", "empty-spectrum-at",
+        "empty-poly-at", "empty-target", "empty-solve-path",
+        "empty-wronskian-path", "empty-out"])
 def test_bad_input_exits_2_with_one_line(tmp_path, doc, args):
     tree = tmp_path / "tree.json"
     tree_args = []

@@ -1,5 +1,6 @@
-"""`isolate_real_roots` (sign bisection in plain ints) against the
-Sturm-count isolation of `sturm_oracle`: the same intervals, exactly."""
+"""`isolate_real_roots` (bisection on integer numerators over one
+denominator) against the Sturm-count isolation of `sturm_oracle`: the
+same intervals, exactly."""
 
 import math
 import random
@@ -10,12 +11,16 @@ from hypothesis import strategies as st
 
 from conftest import h23, h24
 from fraction_poly_oracle import FracPoly
-from sturm_oracle import sturm_isolate
+from sturm_oracle import sturm_isolate, sturm_isolate_square_free
+from treejacobi import exactmath
 from treejacobi.exactmath import (ONE, Poly, RootInterval, RootSet, _sign_at,
                                   isolate_real_roots, square_free_decomposition)
 from treejacobi.treepoly import family
 
 WIDTHS = (None, F(1, 1000), F(1, 2 ** 32))
+# chain evaluations isolating the square-free factors of h23's family:
+# two per factor at its Cauchy bounds plus one per split
+H23_CHAIN_EVALUATIONS = 213
 
 
 def oracle_root_set(p: Poly, width) -> RootSet:
@@ -96,6 +101,77 @@ def test_dyadic_roots_on_bisection_midpoints():
         rs = assert_matches_oracle(p)
         exact += sum(r.exact for r in rs.roots)
     assert exact > 10
+
+
+def test_widths_that_are_not_powers_of_two():
+    """Widths off the dyadic grid, and widths at or above an interval's
+    own width, which must leave it unhalved."""
+    widths = (F(3, 7), F(1, 10 ** 6), F(10 ** 6))
+    for p in _family_polys(h23()):
+        assert_matches_oracle(p, widths)
+    rng = random.Random(11)
+    for _ in range(20):
+        assert_matches_oracle(_factor(rng) * _factor(rng) * _factor(rng),
+                              widths)
+
+
+def test_width_equal_to_an_interval_width_stops_there():
+    """7z^2 - 17 has Cauchy bound 24/7, so its two roots start in
+    (-24/7, 0] and (0, 24/7]: at width 24/7 nothing is halved, and at
+    3/7 each interval is halved exactly three times, ending at width 3/7."""
+    p = Poly([-17, 0, 7])
+    start = [(F(-24, 7), F(0)), (F(0), F(24, 7))]
+    assert [(r.lo, r.hi) for r in isolate_real_roots(p).roots] == start
+    assert [(r.lo, r.hi) for r in
+            isolate_real_roots(p, F(24, 7)).roots] == start
+    rs = assert_matches_oracle(p, (F(24, 7), F(12, 7), F(3, 7)))
+    assert [r.hi - r.lo for r in rs.roots] == [F(3, 7), F(3, 7)]
+    assert [(r.lo, r.hi) for r in rs.roots] == [(F(-12, 7), F(-9, 7)),
+                                                 (F(9, 7), F(12, 7))]
+
+
+def test_rational_roots_on_midpoints_and_first_split():
+    """z^2 - z: the first split, the midpoint 0 of (-2, 2], is a root, so
+    the split is nudged to -2/3; refinement then meets both roots on a
+    midpoint and returns them as exact intervals."""
+    p = Poly([0, -1, 1])
+    assert [(r.lo, r.hi) for r in isolate_real_roots(p).roots] == [
+        (F(-2, 3), F(2, 3)), (F(2, 3), F(2))]
+    rs = assert_matches_oracle(p, (F(1, 1000), F(3, 7)))
+    assert [(r.lo, r.hi) for r in rs.roots] == [(0, 0), (1, 1)]
+    # z (z + 4) (4z + 11) has Cauchy bound 12 and vanishes at the
+    # midpoint 0 of (-12, 12] and at the next try -12 + 24/3 = -4, so the
+    # first split is -12 + 24/4 = -6
+    q = Poly([0, 44, 27, 4])
+    splits = []
+    sturm_isolate_square_free(q, splits)
+    assert splits[0] == F(-6)
+    assert assert_matches_oracle(q).count() == 3
+
+
+def test_one_chain_evaluation_per_split(monkeypatch):
+    """Each square-free factor of h23's family evaluates its Sturm chain
+    at the two ends of its Cauchy interval and once per split, at the
+    split points the Sturm-count oracle makes, in the same order."""
+    points = []
+    evaluate = exactmath._variations_at
+
+    def counted(chain, n, d):
+        points.append(F(n, d))
+        return evaluate(chain, n, d)
+
+    monkeypatch.setattr(exactmath, "_variations_at", counted)
+    total = 0
+    for p in _family_polys(h23()):
+        for g, _ in square_free_decomposition(p):
+            splits = []
+            sturm_isolate_square_free(g, splits)
+            points.clear()
+            exactmath._isolate_square_free(g)
+            bound = exactmath.cauchy_root_bound(g)
+            assert points == [-bound, bound] + splits
+            total += len(points)
+    assert total == H23_CHAIN_EVALUATIONS
 
 
 @settings(max_examples=300, deadline=None, derandomize=True, database=None)

@@ -1,0 +1,64 @@
+"""Pinned reports: the stdout sha256 and exit code of a fixed set of
+CLI ops.  A change that claims to leave every report byte-identical
+must leave these digests as they are.  The ops run in a temporary
+working directory with relative file names, since reports echo argv.
+To re-pin after a change that alters a report on purpose, print
+`_digest(...)` for the changed op and say why in CHANGES.md."""
+
+import hashlib
+
+import pytest
+
+from conftest import h23, h24, seeded_path
+from treejacobi.cli import main
+from treejacobi.treecore import build_from_spec
+
+STAR = """
+{"vertices": [
+  {"id": "a", "parent": "x", "level": 0, "lambda": "1/1", "beta": "0/1"},
+  {"id": "b", "parent": "x", "level": 0, "lambda": "1/1", "beta": "0/1"},
+  {"id": "x", "level": 1, "beta": "0/1"}],
+ "top": "x", "top_lambda": "1/1"}
+"""
+
+TREES = {
+    "h23.json": lambda: h23().to_json(),
+    "h24.json": lambda: h24().to_json(),
+    "star.json": lambda: build_from_spec(STAR).to_json(),
+    "p14.json": lambda: seeded_path(14).to_json(),
+}
+
+# (argv, exit code, sha256 of stdout)
+PINNED = [
+    (("spectrum", "--tree", "h23.json", "--verify"), 0,
+     "528acf25ac4d22e320a4069927e8e4086cd73c07494f4581255f0f9aa6e41d24"),
+    (("spectrum", "--tree", "h24.json", "--verify"), 0,
+     "116b1847e25fa47b87425ae8316c1eba7208deb7d00c072cedda1ed34c10a6a2"),
+    (("spectrum", "--tree", "star.json", "--verify"), 0,
+     "9f7c2d4da976c921ba74d247a3fe1519c75e88040d82db5235a98679fd5e1a66"),
+    (("spectrum", "--tree", "p14.json", "--verify"), 0,
+     "9b1c5722324d92b2af6c28283b5ff571e97e06a6cbc6e5e8f4a851d62af12233"),
+    (("verify-all", "--tree", "h23.json"), 0,
+     "cc719ec39db9df4a7c1f1aab8a1e2d8fdc7af59df61aa64040af1bd05d9bf98a"),
+    (("growth", "--generator", "homogeneous:2", "--path-lambda", "linear",
+      "--depths", "3..8"), 0,
+     "415728e584c14adb7240a029353b5cc4cc6fdf53571880ae0a918c1db85b1476"),
+    (("construct", "--example", "real-obstruction", "--depth", "5",
+      "--out", "obstruction.json"), 0,
+     "a91ae0bd1b97032f4772162701c5476f23138b0ecb99cbfff7876c36f55e0450"),
+]
+
+
+def _digest(capsys, argv) -> tuple[int, str]:
+    code = main(list(argv))
+    out = capsys.readouterr().out
+    return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, sha", PINNED,
+                         ids=[" ".join(p[0][:3]) for p in PINNED])
+def test_report_is_pinned(capsys, tmp_path, monkeypatch, argv, code, sha):
+    monkeypatch.chdir(tmp_path)
+    for name, text in TREES.items():
+        (tmp_path / name).write_text(text(), encoding="utf-8")
+    assert _digest(capsys, argv) == (code, sha)

@@ -215,6 +215,24 @@ def _feasible_by_rank(tree, r):
     return len(_echelon(rows + [extra], len(order))[1]) > base
 
 
+def test_echelon_leaves_input_rows_unchanged():
+    """Elimination builds new rows: the caller's list keeps its order and
+    every row its entries, while the echelon form is zero below and left
+    of each pivot."""
+    from treejacobi.solutions import _echelon
+    rows = [[F(0), F(2), F(1), F(3)], [F(1), F(1), F(0), F(1)],
+            [F(2), F(4), F(1), F(5)], [F(0), F(1), I, F(0)]]
+    order = [id(row) for row in rows]
+    before = [row[:] for row in rows]
+    echelon, pivots = _echelon(rows, 3)
+    assert [id(row) for row in rows] == order and rows == before
+    assert pivots == [0, 1, 2]
+    for r, col in enumerate(pivots):
+        assert echelon[r][col]
+        assert not any(echelon[r][:col])
+        assert not any(row[col] for row in echelon[r + 1:])
+
+
 def test_propagate_real_matches_rank_criterion():
     # sample at small rationals including frequent eigenvalues of blocks
     rng = random.Random(31)

@@ -1,3 +1,4 @@
+import gc
 import json
 from fractions import Fraction as F
 
@@ -71,6 +72,25 @@ def test_generators():
         generate("ladder", depth=2)
     with pytest.raises(ValueError):
         homogeneous_tree(2, 2, lam=lambda lv, addr: F(-1))
+
+
+def test_homogeneous_tree_leaves_no_reference_cycle():
+    """The recursive builder is released on return and on error alike,
+    so the vertex lists do not wait for the cyclic collector."""
+    gc.collect()
+    flags = gc.get_debug()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        homogeneous_tree(2, 4)
+        with pytest.raises(ValueError):
+            homogeneous_tree(2, 2, lam=lambda lv, addr: F(-1))
+        gc.collect()
+        leaked = [o for o in gc.garbage if callable(o) and getattr(
+            o, "__qualname__", "") == "homogeneous_tree.<locals>.add"]
+    finally:
+        gc.set_debug(flags)
+        gc.garbage.clear()
+    assert leaked == []
 
 
 def test_subtree():
