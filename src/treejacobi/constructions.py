@@ -357,6 +357,18 @@ class PerturbedHomogeneousResult:
     path_weights: list[Fraction]
 
 
+def _base_weight(d: int) -> Fraction:
+    """d^(-1/2), the weight of the norm-bounded homogeneous matrix; d must
+    be a positive perfect square so that it is rational."""
+    if d < 1:
+        raise ValueError("branching d must be >= 1")
+    root = math.isqrt(d)
+    if root * root != d:
+        raise ValueError("branching d must be a perfect square for an exact "
+                         "base weight")
+    return Fraction(1, root)
+
+
 def build_path_perturbed_homogeneous(d: int, depth: int
                                      ) -> PerturbedHomogeneousResult:
     """The sum of the norm-bounded homogeneous matrix (all weights
@@ -364,13 +376,9 @@ def build_path_perturbed_homogeneous(d: int, depth: int
     degenerate path matrix with weights `default_path_weight(n)` along the
     leftmost path.  d must be a perfect square so the base weight stays
     rational."""
-    root = math.isqrt(d)
-    if root * root != d:
-        raise ValueError("branching d must be a perfect square for an exact "
-                         "base weight")
+    w = _base_weight(d)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    w = Fraction(1, root)
     base = homogeneous_tree(d, depth, lam=w, beta=Fraction(0))
     path = default_path(base)
     weights = [default_path_weight(n) for n in range(len(path))]
@@ -387,10 +395,7 @@ def build_path_perturbed_homogeneous(d: int, depth: int
 def bounded_base_radius_ok(d: int, depths) -> bool:
     """Exact check that the homogeneous base matrix truncations have no
     eigenvalue outside [-2, 2] at each depth."""
-    root = math.isqrt(d)
-    if root * root != d:
-        raise ValueError("branching d must be a perfect square")
-    w = Fraction(1, root)
+    w = _base_weight(d)
     for depth in depths:
         base = homogeneous_tree(d, depth, lam=w, beta=Fraction(0))
         if eigenvalues_outside(base, Fraction(-2), Fraction(2)) != 0:

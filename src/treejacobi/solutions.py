@@ -19,8 +19,8 @@ recursion, which `classical1d.recurrence_values` computes.  This module construc
 normalized solution/associated-solution pair along a path, measures norm
 growth from per-class masses without building the field, decides
 solution-space dimensions by exact elimination, and attempts the same
-propagation at real spectral values, where an up-polynomial of the
-family can vanish and the walk can hit a genuine obstruction.
+propagation at real spectral values, where a pivot can vanish and the
+walk can hit a genuine obstruction.
 """
 
 from __future__ import annotations
@@ -90,17 +90,19 @@ class SolutionPair:
 
 @dataclass
 class _PathReduction:
-    """A nonreal z and a path, with every subtree reduced once per class
-    of identical subtrees (`TreeTruncation.class_ratios`).
+    """z and a path, with every subtree reduced once per class of
+    identical subtrees (`TreeTruncation.class_ratios`).
 
     `ratio[c]` is f(w)/f(parent of w) for the solution f below any vertex
-    w of class c, and `rep[c]` is the first such w; children's classes
-    come first.  `diag[k]` is beta at x_k plus the side reduction of
-    its subtrees off the path (`PathSelection.sides`)."""
+    w of class c, or None where the Schur pivot of w is zero (real z
+    only), and `rep[c]` is the first such w; children's classes come
+    first.  `diag[k]` is beta at x_k plus the side reduction of its
+    subtrees off the path (`PathSelection.sides`) whose ratio is not
+    None."""
 
     z: GaussianRational
     cls: dict[int, int]
-    ratio: list[GaussianRational]
+    ratio: list
     rep: list[int]
     reductions: tuple[SideReduction, ...]
     diag: list
@@ -120,25 +122,29 @@ class _PathReduction:
                                  self.z, seed0, seed1, len(self.lam) - 1)
 
 
+def _nonreal(z) -> GaussianRational:
+    z = GaussianRational.of(z)
+    if z.im == 0:
+        raise ValueError("solve_pair needs a nonreal z; use propagate_real")
+    return z
+
+
 def _reduce_path(tree: TreeTruncation, path: PathSelection,
                  z) -> _PathReduction:
     """Class ratios by the tree continued fraction
     (`TreeTruncation.class_ratios`), which is self_poly[c](z) /
     up_poly[c](z) with the family recursion divided through by
-    self_poly[c](z); then the side reductions."""
+    self_poly[c](z); then the side reductions.  At nonreal z no ratio is
+    None: by induction from the leaves, every pivot has an imaginary part
+    at least |Im z| in size."""
     z = GaussianRational.of(z)
-    if z.im == 0:
-        raise ValueError("solve_pair needs a nonreal z; use propagate_real")
     if tree.level[path[0]] != 0:
         raise ValidationError("path must start at a level-0 vertex")
     if not path.reaches_top():
         raise ValidationError("path must reach the top of the truncation")
     _, cls, ratio, rep = tree.class_ratios(tree.top, z)
-    for r, w in zip(ratio, rep):
-        if r is None:
-            raise ValidationError(
-                f"family denominator vanishes at {tree.ids[w]!r}")
-    side = [sum((tree.lam[y] * ratio[cls[y]] for y in ys), _ZERO)
+    side = [sum((tree.lam[y] * ratio[cls[y]] for y in ys
+                 if ratio[cls[y]] is not None), _ZERO)
             for ys in path.sides]
     reductions = tuple(SideReduction(tree.ids[x], s)
                        for x, s in zip(path.vertices[1:], side[1:]))
@@ -154,7 +160,7 @@ def solve_pair(tree: TreeTruncation, path: PathSelection,
     nonreal z.  Both satisfy the eigen-equation at every interior vertex;
     u skips x_0 by construction.  The path must start on level 0 and end
     at the top of the truncation."""
-    red = _reduce_path(tree, path, z)
+    red = _reduce_path(tree, path, _nonreal(z))
     vv: dict[int, GaussianRational] = {}
     uu: dict[int, GaussianRational] = {}
     for xk, fv, fu, ys in zip(path.vertices, red.v_path(), red.u_path(),
@@ -341,79 +347,63 @@ def propagate_real(tree: TreeTruncation, r: Fraction) -> PropagationResult:
     """Attempt the path-and-side-ratio propagation at real z = r along
     `default_path(tree)`, normalized to 1 at its level-0 start.
 
-    Side subtrees are filled with multiples of their family rows
-    evaluated at r.  A side attachment whose denominator vanishes while
-    the path value is nonzero blocks the walk; infeasibility is then
-    confirmed (or refuted) by exact elimination on the full system, so a
-    reported obstruction is a proof, not a heuristic."""
+    Side subtrees are filled by their class ratios at r
+    (`_reduce_path`).  A side whose root pivot vanishes can carry only
+    the zero multiple; while the path value is nonzero it blocks the
+    walk, and infeasibility is then confirmed (or refuted) by exact
+    elimination on the full system, so a reported obstruction is a
+    proof, not a heuristic."""
     r = Fraction(r)
     path = default_path(tree)
-    # side subtrees whose up-polynomial is nonzero at r fold into the path
-    # diagonal; the others can only carry the zero multiple
-    sides: list[list] = []
-    diag = []
-    for x, ys in zip(path.vertices, path.sides):
-        row, shift = [], Fraction(0)
-        for y in ys:
-            fam = family(tree, y)
-            den = fam.up_poly[y](r)
-            if den:
-                shift += tree.lam[y] * fam.self_poly[y](r) / den
-            row.append((y, fam, den))
-        sides.append(row)
-        diag.append(tree.beta[x] + shift)
-    lam = [tree.lam[w] for w in path.vertices]
-    walk = recurrence_values(lam.__getitem__, diag.__getitem__, r,
-                             Fraction(1), (r - diag[0]) / lam[0], len(path) - 1)
-    f: dict[int, Fraction] = {}
+    red = _reduce_path(tree, path, r)
+    ratio, cls = red.ratio, red.cls
+    # per class: a zero pivot strictly below, where the ratio product
+    # meets 0 * None and only the family rows P(y, w)(r) give the field
+    deep: list[bool] = []
+    for w in red.rep:
+        deep.append(any(ratio[cls[d]] is None or deep[cls[d]]
+                        for d in tree.children[w]))
+    f: dict[int, GaussianRational] = {}
     free: list[str] = []
     blocked: int | None = None
-    for xk, fk, row in zip(path.vertices, walk, sides):
+    for xk, fk, ys in zip(path.vertices, red.v_path(), path.sides):
         f[xk] = fk
-        for y, fam, den in row:
-            if den == 0:
-                if fk != 0:
+        for y in ys:
+            if ratio[cls[y]] is None:
+                if fk:
                     blocked = y
                     break
                 free.append(tree.ids[y])
+                f.update(dict.fromkeys(tree.descendants(y), _ZERO))
+            elif deep[cls[y]]:
+                fam = family(tree, y)
+                scale = fk / fam.up_poly[y](r)
                 for w in tree.descendants(y):
-                    f[w] = Fraction(0)
-                continue
-            scale = fk / den
-            for w in tree.descendants(y):
-                f[w] = scale * fam.entry(y, w)(r)
+                    f[w] = scale * fam.entry(y, w)(r)
+            else:
+                tree.carry(f, (y,), ratio, cls)
         if blocked is not None:
             break
-    if blocked is None:
-        return PropagationResult(_real_field(tree, r, f), None, None,
-                                 tuple(free))
-    # decide feasibility exactly on the full system, right-hand side last
-    order = tree.descendants(tree.top)
-    n = len(order)
-    pos = {v: i for i, v in enumerate(order)}
-    rows = [_equation_row(tree, w, pos, r, Fraction(0)) + [Fraction(0)]
-            for w in order if w != tree.top and w not in tree.cut]
-    norm_row = [Fraction(0)] * (n + 1)
-    norm_row[pos[path[0]]] = norm_row[n] = Fraction(1)
-    rows.append(norm_row)
-    echelon, pivots = _echelon(rows, n)
-    sol = _particular_solution(echelon, pivots, n, Fraction(0))
-    if sol is None:
-        return PropagationResult(None, blocked, tree.ids[blocked], tuple(free))
-    values = {v: sol[pos[v]] for v in order}
-    return PropagationResult(_real_field(tree, r, values), None, None,
-                             tuple(free))
-
-
-def _real_field(tree: TreeTruncation, r: Fraction,
-                values: dict[int, Fraction]) -> SolutionField:
-    fld = SolutionField(
-        tree, GaussianRational(r, Fraction(0)),
-        {v: GaussianRational(val, Fraction(0)) for v, val in values.items()},
-        frozenset(tree.interior()))
+    if blocked is not None:
+        # decide feasibility exactly on the full system, right-hand side last
+        order = tree.descendants(tree.top)
+        n = len(order)
+        pos = {v: i for i, v in enumerate(order)}
+        rows = [_equation_row(tree, w, pos, r, Fraction(0)) + [Fraction(0)]
+                for w in order if w != tree.top and w not in tree.cut]
+        norm_row = [Fraction(0)] * (n + 1)
+        norm_row[pos[path[0]]] = norm_row[n] = Fraction(1)
+        rows.append(norm_row)
+        echelon, pivots = _echelon(rows, n)
+        sol = _particular_solution(echelon, pivots, n, Fraction(0))
+        if sol is None:
+            return PropagationResult(None, blocked, tree.ids[blocked],
+                                     tuple(free))
+        f = {v: GaussianRational.of(sol[pos[v]]) for v in order}
+    fld = SolutionField(tree, red.z, f, frozenset(tree.interior()))
     if not fld.verify():
         raise ValidationError("real propagation produced a nonzero residual")
-    return fld
+    return PropagationResult(fld, None, None, tuple(free))
 
 
 # ---------------------------------------------------------------------
@@ -485,7 +475,7 @@ def growth_profile(tree: TreeTruncation, z: GaussianRational,
     parent's value, so x_k adds |v(x_k)|^2 (1 + sum_{side y} S(y)) to the
     squared norm, and 1 plus its side subtrees' class sizes to the size."""
     path = default_path(tree)
-    red = _reduce_path(tree, path, z)
+    red = _reduce_path(tree, path, _nonreal(z))
     mass: list[Fraction] = []
     count: list[int] = []
     for r, w in zip(red.ratio, red.rep):

@@ -335,12 +335,19 @@ def homogeneous_tree(d: int, depth: int, lam=Fraction(1),
         raise ValueError("depth must be >= 0")
     lam_r, beta_r = _as_rule(lam), _as_rule(beta)
     ids, parent, level, lams, betas = [], [], [], [], []
-
-    def add(address: tuple[int, ...], name: str, parent_idx: int | None):
-        idx = len(ids)
+    # depth first with the children pushed last first, so ids and the
+    # rule calls run in the order of the children
+    stack: list[tuple[tuple[int, ...], str, int | None]] = [((), "r", None)]
+    last_first = range(d - 1, -1, -1)
+    while stack:
+        address, name, parent_idx = stack.pop()
+        lv = depth - len(address)
+        if lv > 0:
+            idx = len(ids)
+            for i in last_first:
+                stack.append((address + (i,), f"{name}.{i}", idx))
         ids.append(name)
         parent.append(parent_idx)
-        lv = depth - len(address)
         level.append(lv)
         lam_v = lam_r(lv, address)
         if type(lam_v) is not Fraction:
@@ -349,14 +356,6 @@ def homogeneous_tree(d: int, depth: int, lam=Fraction(1),
             raise ValueError(f"rule produced nonpositive lambda at {name!r}")
         lams.append(lam_v)
         betas.append(beta_r(lv, address))
-        if lv > 0:
-            for i in range(d):
-                add(address + (i,), f"{name}.{i}", idx)
-
-    try:
-        add((), "r", None)
-    finally:
-        del add  # the closure refers to itself: break the cycle
     return TreeTruncation(ids, 0, parent, level, lams, betas)
 
 

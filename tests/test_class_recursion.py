@@ -69,6 +69,22 @@ def test_class_ratio_is_the_family_quotient():
     assert checked > 2000
 
 
+def test_class_ratios_at_nonreal_z_are_never_none():
+    # each pivot's imaginary part has the sign of Im z and at least its
+    # size, so no pivot vanishes and every ratio lambda / pivot has the
+    # opposite sign: the nonreal solvers need no zero-pivot check
+    trees = (_corpus() + exhaustive_corpus(6)
+             + random_corpus(31, 25, coincident_every=2))
+    checked = 0
+    for z in ZS + (GR(F(1, 3), F(1, 1000)),):
+        for tree in trees:
+            _, _, ratio, _ = tree.class_ratios(tree.top, z)
+            for r in ratio:
+                assert r is not None and r.im * z.im < 0, (tree, z)
+                checked += 1
+    assert checked > 3000
+
+
 def _per_vertex_rows(trees, z):
     rows = []
     for tree in trees:

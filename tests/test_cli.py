@@ -224,13 +224,18 @@ BOOL_LEVEL = STAR.replace('"level": 1, "beta"', '"level": true, "beta"')
     (STAR, ["wronskian", "--path="]),
     (None, ["construct", "--example", "real-obstruction", "--depth", "2",
             "--out="]),
+    (None, ["construct", "--example", "bounded-path", "--depth", "3",
+            "--d", "0"]),
+    (None, ["construct", "--example", "bounded-path", "--depth", "3",
+            "--d=-4"]),
 ], ids=["beta-1/0", "numeric-top_lambda", "z-1/0", "unknown-at",
         "unknown-target", "width-0", "width-negative", "numeric-beta",
         "numeric-lambda", "string-level", "bool-level", "empty-depths",
         "negative-classical-depth", "growth-real-z", "growth-branching-0",
         "growth-branching-x", "empty-width", "empty-spectrum-at",
         "empty-poly-at", "empty-target", "empty-solve-path",
-        "empty-wronskian-path", "empty-out"])
+        "empty-wronskian-path", "empty-out", "bounded-path-d-0",
+        "bounded-path-d-negative"])
 def test_bad_input_exits_2_with_one_line(tmp_path, doc, args):
     tree = tmp_path / "tree.json"
     tree_args = []
@@ -289,6 +294,15 @@ def test_growth_builds_one_tree(capsys, monkeypatch):
     assert built == [(2, 6)]
     assert [row["size"] for row in report["results"]["rows"]] == [
         15, 31, 63, 127]
+
+
+def test_growth_on_a_deep_path(capsys):
+    # homogeneous:1 is a path: 1,201 vertices, one level each
+    code, report = run(capsys, ["growth", "--generator", "homogeneous:1",
+                                "--depths", "2..1200"])
+    assert code == 0
+    assert [row["size"] for row in report["results"]["rows"]] == list(
+        range(3, 1202))
 
 
 def test_verify_all_builds_one_characteristic_polynomial(capsys, monkeypatch,

@@ -251,8 +251,14 @@ def test_perturbed_homogeneous_weights():
 
 
 def test_perturbed_homogeneous_requires_square():
-    with pytest.raises(ValueError):
-        build_path_perturbed_homogeneous(3, 3)
+    for d, message in (
+            (3, "branching d must be a perfect square for an exact base weight"),
+            (0, "branching d must be >= 1"), (-4, "branching d must be >= 1")):
+        for build in (lambda: build_path_perturbed_homogeneous(d, 3),
+                      lambda: bounded_base_radius_ok(d, [2])):
+            with pytest.raises(ValueError) as exc:
+                build()
+            assert str(exc.value) == message
 
 
 def test_base_radius_bound():

@@ -11,7 +11,8 @@ import pytest
 
 from conftest import h23, h24, seeded_path
 from treejacobi.cli import main
-from treejacobi.treecore import build_from_spec
+from treejacobi.constructions import build_real_obstruction
+from treejacobi.treecore import build_from_spec, homogeneous_tree
 
 STAR = """
 {"vertices": [
@@ -26,6 +27,8 @@ TREES = {
     "h24.json": lambda: h24().to_json(),
     "star.json": lambda: build_from_spec(STAR).to_json(),
     "p14.json": lambda: seeded_path(14).to_json(),
+    "unit23.json": lambda: homogeneous_tree(2, 3).to_json(),
+    "obstruction3.json": lambda: build_real_obstruction(3).tree.to_json(),
 }
 
 # (argv, exit code, sha256 of stdout)
@@ -46,6 +49,15 @@ PINNED = [
     (("construct", "--example", "real-obstruction", "--depth", "5",
       "--out", "obstruction.json"), 0,
      "a91ae0bd1b97032f4772162701c5476f23138b0ecb99cbfff7876c36f55e0450"),
+    # real solves: at 0 the unit binary tree has side subtrees with a root
+    # zero pivot, with a deep one, and with neither; at 1/3 every side of
+    # h24 is filled by its ratios; the obstruction tree exits 1
+    (("solve", "--tree", "unit23.json", "--z=0/1"), 0,
+     "c7d5ebdc09eb2c09ae47d3907e62b672fc234105b2a4b58d8695588d181bf69d"),
+    (("solve", "--tree", "h24.json", "--z=1/3"), 0,
+     "edb5b007384ebe0bdcb01e63ec5b9ff66743d4886f102b05d64eeb756d5ff758"),
+    (("solve", "--tree", "obstruction3.json", "--z=0/1"), 1,
+     "2c4cef178bc32d2d8b75df136ed9ea24d50ee7b6ae70248615191acc65d327be"),
 ]
 
 

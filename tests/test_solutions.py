@@ -55,8 +55,11 @@ def test_single_vertex_pair_is_degenerate():
 
 
 def test_rejects_real_z():
-    with pytest.raises(ValueError):
+    message = "solve_pair needs a nonreal z; use propagate_real"
+    with pytest.raises(ValueError, match=message):
         solve_pair(STAR, default_path(STAR), GR(F(1), F(0)))
+    with pytest.raises(ValueError, match=message):
+        growth_profile(STAR, GR(F(1), F(0)), [1])
 
 
 def test_wronskian_is_reciprocal_weight():
