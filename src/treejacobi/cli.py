@@ -19,7 +19,7 @@ from .errors import (ParseError, TreeJacobiError, UnknownVertexError,
 from .exactmath import GaussianRational, I, parse_gaussian, parse_rational
 from .reports import make_report, render, to_jsonable
 from .treecore import (TreeTruncation, build_from_spec, default_path,
-                       homogeneous_tree, path_from_ids)
+                       homogeneous_classes, path_from_ids)
 
 USAGE_EXIT = 2
 
@@ -29,14 +29,29 @@ def _load_tree(path: str) -> TreeTruncation:
         return build_from_spec(fh.read())
 
 
+def _decimal(text: str) -> int | None:
+    """The integer that ASCII decimal digits spell, else None; `int`
+    alone would also take signs, spaces, underscores and other scripts'
+    digits."""
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def _parse_depths(text: str) -> list[int]:
+    """`n` or `lo..hi`; a bound may carry a minus sign, which the
+    generators reject with their own message."""
+    def bound(part: str) -> int:
+        n = _decimal(part.removeprefix("-"))
+        if n is None:
+            raise ValueError(f"depth must be decimal digits, got {part!r}")
+        return -n if part.startswith("-") else n
+
     if ".." in text:
         lo, hi = text.split("..", 1)
-        depths = list(range(int(lo), int(hi) + 1))
+        depths = list(range(bound(lo), bound(hi) + 1))
         if not depths:
             raise ValueError(f"empty depth range {text!r}")
         return depths
-    return [int(text)]
+    return [bound(text)]
 
 
 def _resolve_path(tree, arg: str | None):
@@ -162,36 +177,6 @@ def _cmd_wronskian(args, argv) -> int:
                    {"path": path.ids, "steps": rows}, failures)
 
 
-def _generated_tree(spec: str, path_lambda: str, depths: list[int],
-                    z: GaussianRational) -> TreeTruncation:
-    """The generator's tree at the deepest depth.  Its subtree below x_n
-    of the leftmost path is, weights included, the generator's tree at
-    depth n: lambda is level + 1 on the leftmost path under the linear
-    rule and 1 everywhere else.  Bad input fails before the tree is built,
-    with the message the shallowest depth gives."""
-    kind, _, arg = spec.partition(":")
-    if kind != "homogeneous":
-        raise ValueError(f"unknown generator {spec!r}")
-    try:
-        d = int(arg)
-    except ValueError:
-        raise ValueError(f"unknown generator {spec!r}") from None
-    if d < 1:
-        raise ValueError("branching d must be >= 1")
-    if min(depths) < 0:
-        raise ValueError("depth must be >= 0")
-    if z.im == 0:
-        raise ValueError("solve_pair needs a nonreal z; use propagate_real")
-    one = Fraction(1)
-    if path_lambda == "linear":
-        def lam(lv, addr):
-            return one if any(addr) else Fraction(lv + 1)
-    else:
-        def lam(lv, addr):
-            return one
-    return homogeneous_tree(d, max(depths), lam=lam)
-
-
 def _cmd_growth(args, argv) -> int:
     z = parse_gaussian(args.z)
     depths = _parse_depths(args.depths)
@@ -202,8 +187,24 @@ def _cmd_growth(args, argv) -> int:
             raise ValueError("the small-norm generator is built at z = i")
         profile = constructions.small_norm_profile(depths)
     else:
-        tree = _generated_tree(args.generator, args.path_lambda, depths, z)
-        profile = solutions.growth_profile(tree, z, depths)
+        # the generator's classes at the deepest depth: the subtree below
+        # x_n of the spine is, weights included, the generator's tree at
+        # depth n; bad input fails with the message the shallowest depth
+        # gives
+        kind, _, arg = args.generator.partition(":")
+        d = _decimal(arg)
+        if kind != "homogeneous" or d is None:
+            raise ValueError(f"unknown generator {args.generator!r}")
+        if d < 1:
+            raise ValueError("branching d must be >= 1")
+        if min(depths) < 0:
+            raise ValueError("depth must be >= 0")
+        if z.im == 0:
+            raise ValueError("solve_pair needs a nonreal z; use propagate_real")
+        lam = ((lambda k: Fraction(k + 1)) if args.path_lambda == "linear"
+               else Fraction(1))
+        profile = solutions.growth_profile(
+            homogeneous_classes(d, max(depths), lam), z, depths)
     results = {
         "generator": args.generator,
         "rows": profile.rows,

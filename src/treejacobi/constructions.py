@@ -597,7 +597,8 @@ def small_norm_profile(depths) -> GrowthProfile:
              for sides in path.sides]
     norms = [res.solution.values[path[0]].abs2()]
     norms += [row.side_norm2 + row.top_value_norm2 for row in res.ledger]
-    return nested_profile(path, depths, sizes, norms)
+    return nested_profile([tree.lam[x] for x in path.vertices], depths,
+                          sizes, norms)
 
 
 # ---------------------------------------------------------------------

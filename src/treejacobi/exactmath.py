@@ -174,6 +174,29 @@ class GaussianRational:
         # a real value hashes as the Fraction (or int) it equals
         return hash(self.re) if not self.im_num else hash((self.re, self.im))
 
+    @staticmethod
+    def product_difference(a, w, pairs) -> "GaussianRational":
+        """a * w minus the sum of b * u over the pairs (b, u), each factor
+        a Gaussian, an int or a Fraction: the residual of a linear
+        equation.  The terms share one common denominator and the result
+        is reduced once; a term whose denominator equals the running one
+        joins it as it is."""
+        p, q, s = _parts(a)
+        c, e, den = _parts(w)
+        re, im, den = p * c - q * e, p * e + q * c, s * den
+        for b, u in pairs:
+            p, q, s = _parts(b)
+            c, e, f = _parts(u)
+            t = s * f
+            if t == den:
+                re -= p * c - q * e
+                im -= p * e + q * c
+            else:
+                re = re * t - (p * c - q * e) * den
+                im = im * t - (p * e + q * c) * den
+                den *= t
+        return _lowest(re, im, den)
+
     def conjugate(self) -> "GaussianRational":
         return _gaussian(self.re_num, -self.im_num, self.den)
 

@@ -28,12 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .classical1d import recurrence_values
 from .errors import ValidationError
 from .exactmath import GaussianRational, I
-from .treecore import PathSelection, TreeTruncation, default_path
+from .treecore import (ClassTable, PathSelection, TreeTruncation,
+                       default_path)
 from .treepoly import family
 
 _ZERO = GaussianRational(Fraction(0), Fraction(0))
@@ -58,11 +59,10 @@ class SolutionField:
         if p is None:
             raise ValidationError(
                 f"no eigen-equation at the top vertex {t.ids[v]!r}")
-        acc = self.z * self.values[v] - t.beta[v] * self.values[v]
-        acc = acc - t.lam[v] * self.values[p]
-        for c in t.children[v]:
-            acc = acc - t.lam[c] * self.values[c]
-        return acc
+        f = self.values
+        row = [(t.lam[v], f[p])] + [(t.lam[c], f[c]) for c in t.children[v]]
+        return GaussianRational.product_difference(self.z - t.beta[v], f[v],
+                                                   row)
 
     def verify(self) -> bool:
         return all(not self.residual(v) for v in self.satisfied_at)
@@ -110,16 +110,21 @@ class _PathReduction:
 
     def v_path(self) -> list:
         """v along the path: v(x_0) = 1 and the eigen-equation at x_0."""
-        return self._recur(_ONE, (self.z - self.diag[0]) / self.lam[0])
+        return _v_path(self.z, self.lam, self.diag)
 
     def u_path(self) -> list:
         """u along the path: u(x_0) = 0, u(x_1) = 1/lambda_{x_0}."""
-        return self._recur(_ZERO,
-                           GaussianRational.of(Fraction(1) / self.lam[0]))
+        return recurrence_values(
+            self.lam.__getitem__, self.diag.__getitem__, self.z, _ZERO,
+            GaussianRational.of(Fraction(1) / self.lam[0]), len(self.lam) - 1)
 
-    def _recur(self, seed0, seed1) -> list:
-        return recurrence_values(self.lam.__getitem__, self.diag.__getitem__,
-                                 self.z, seed0, seed1, len(self.lam) - 1)
+
+def _v_path(z, lam: list, diag: list) -> list:
+    """The path values of the solution with v(x_0) = 1 and the
+    eigen-equation at x_0, for the weights `lam` and the reduced
+    diagonal `diag` along the path."""
+    return recurrence_values(lam.__getitem__, diag.__getitem__, z, _ONE,
+                             (z - diag[0]) / lam[0], len(lam) - 1)
 
 
 def _nonreal(z) -> GaussianRational:
@@ -434,21 +439,21 @@ class GrowthProfile:
                  "not decided by truncations")
 
 
-def nested_profile(path: PathSelection, depths: Iterable[int],
+def nested_profile(lam: Sequence[Fraction], depths: Iterable[int],
                    sizes: list[int], norms: list[Fraction]) -> GrowthProfile:
     """The rows at `depths` of the nested truncations below the vertices
-    x_n of `path`, in increasing depth.  `sizes[k]` and `norms[k]` are the
-    vertex count and the squared norm that x_k and its side subtrees add
-    to the truncation below x_{k-1}; the row at depth n takes their sums
-    over k <= n, and the Carleman sum of 1/lambda_{x_k} over k <= n."""
-    lam = path.tree.lam
+    x_n of a path with the weights `lam[n]` = lambda at x_n, in
+    increasing depth.  `sizes[k]` and `norms[k]` are the vertex count and
+    the squared norm that x_k and its side subtrees add to the truncation
+    below x_{k-1}; the row at depth n takes their sums over k <= n, and
+    the Carleman sum of 1/lambda_{x_k} over k <= n."""
     size = list(accumulate(sizes))
     norm2 = list(accumulate(norms))
-    carleman = list(accumulate(Fraction(1) / lam[x] for x in path.vertices))
+    carleman = list(accumulate(Fraction(1) / w for w in lam))
     rows = []
     for n in depths:
-        if not 0 <= n < len(path):
-            raise ValueError(f"depth {n} is not in 0..{len(path) - 1}")
+        if not 0 <= n < len(lam):
+            raise ValueError(f"depth {n} is not in 0..{len(lam) - 1}")
         rows.append(GrowthRow(n, size[n], norm2[n], carleman[n]))
     steps = list(zip(rows, rows[1:]))
     return GrowthProfile(rows,
@@ -457,34 +462,52 @@ def nested_profile(path: PathSelection, depths: Iterable[int],
                          all(a.carleman_sum < b.carleman_sum for a, b in steps))
 
 
-def growth_profile(tree: TreeTruncation, z: GaussianRational,
-                   depths: Iterable[int]) -> GrowthProfile:
+def growth_profile(tree: TreeTruncation | tuple[ClassTable, list[int]],
+                   z: GaussianRational, depths: Iterable[int]) -> GrowthProfile:
     """For each n in `depths`, the exact squared norm of the normalized
-    solution on the truncation below x_n of `default_path(tree)`, its
-    size, and the partial sum of 1/lambda along the path up to x_n.
+    solution on the truncation below x_n of a path, its size, and the
+    partial sum of 1/lambda along the path up to x_n.  `tree` is a
+    truncation, taken along `default_path(tree)`, or a class table with
+    the classes of the path x_0, x_1, ... (`homogeneous_classes`).
 
     The truncations below x_0, x_1, ... are nested, and the solution on
     each is the restriction of the one on the whole tree: the path values
     up to x_n use the equations below x_n only, and a side subtree's ratios
-    depend on that subtree alone.  So one solve gives every row.  No field
-    is built: a side class c carries the mass
+    depend on that subtree alone.  So one solve gives every row, and it
+    runs on the classes of identical subtrees, never on the vertices.  No
+    field is built: a class c carries the mass
 
         S(c) = |r(c)|^2 (1 + sum_{d child of c} S(d)),
 
     the squared norm of the solution on its subtree relative to the
-    parent's value, so x_k adds |v(x_k)|^2 (1 + sum_{side y} S(y)) to the
-    squared norm, and 1 plus its side subtrees' class sizes to the size."""
-    path = default_path(tree)
-    red = _reduce_path(tree, path, _nonreal(z))
+    parent's value, and its vertex count.  The side subtrees of x_k are
+    its children other than x_{k-1}; x_k adds |v(x_k)|^2 (1 + sum_{side y}
+    S(y)) to the squared norm, and 1 plus their counts to the size."""
+    if isinstance(tree, TreeTruncation):
+        path = default_path(tree)
+        table = ClassTable()
+        _, cls = tree.shape_classes(tree.top, table)
+        spine = [cls[x] for x in path.vertices]
+    else:
+        table, spine = tree
+    z = _nonreal(z)
+    ratio = table.ratios(z)
     mass: list[Fraction] = []
     count: list[int] = []
-    for r, w in zip(red.ratio, red.rep):
-        kids = [red.cls[d] for d in tree.children[w]]
+    for r, kids in zip(ratio, table.kids):
         mass.append(r.abs2() * (1 + sum(mass[c] for c in kids)))
         count.append(1 + sum(count[c] for c in kids))
-    sizes, norms = [], []
-    for fv, ys in zip(red.v_path(), path.sides):
-        sides = [red.cls[y] for y in ys]
-        sizes.append(1 + sum(count[c] for c in sides))
-        norms.append(fv.abs2() * (1 + sum(mass[c] for c in sides)))
-    return nested_profile(path, depths, sizes, norms)
+    diag, sizes, side_mass = [], [], []
+    below = None
+    for x in spine:
+        sides = list(table.kids[x])
+        if below is not None:
+            sides.remove(below)
+        below = x
+        diag.append(table.beta[x] + sum((table.lam[y] * ratio[y]
+                                         for y in sides), _ZERO))
+        sizes.append(1 + sum(count[y] for y in sides))
+        side_mass.append(1 + sum(mass[y] for y in sides))
+    lam = [table.lam[x] for x in spine]
+    norms = [v.abs2() * m for v, m in zip(_v_path(z, lam, diag), side_mass)]
+    return nested_profile(lam, depths, sizes, norms)

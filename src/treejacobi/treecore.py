@@ -17,6 +17,11 @@ The JSON interchange document looks like::
      "top": "x", "top_lambda": "1/1"}
 
 Rationals travel as ``"p/q"`` strings; serialization round-trips exactly.
+
+Computations that depend only on the shape and weights of subtrees run
+on a `ClassTable`, one entry per class of identical subtrees: a
+truncation fills it by hash-consing (`TreeTruncation.shape_classes`), and
+`homogeneous_classes` builds it for a homogeneous tree without the tree.
 """
 
 from __future__ import annotations
@@ -94,61 +99,45 @@ class TreeTruncation:
         out.reverse()
         return out
 
-    def shape_classes(self, root: int) -> tuple[list[int], dict[int, int]]:
+    def shape_classes(self, root: int, table: "ClassTable | None" = None
+                      ) -> tuple[list[int], dict[int, int]]:
         """Hash-cons the subtree at root into classes of identical subtrees.
 
         Returns the children-before-parent order of its vertices and a
         dense class id per vertex.  Two vertices share a class exactly when
         they carry the same (beta, lambda) and their children, in order,
         share classes.  Ids count up in order of first appearance, so every
-        child class has a smaller id than its parent's."""
+        child class has a smaller id than its parent's.  The classes go
+        into `table` (a fresh `ClassTable` when none is given)."""
         order = self._post_order(root)
         beta, lam, children = self.beta, self.lam, self.children
+        add = (ClassTable() if table is None else table).add
         cls: dict[int, int] = {}
-        intern: dict[tuple, int] = {}
         # generators share coefficient objects; keying on their identity
         # first spares most Fraction hashes, and equal values still meet
-        # in `intern`
+        # in the table
         by_id: dict[tuple, int] = {}
         for v in order:
             b, l, kids = beta[v], lam[v], tuple([cls[c] for c in children[v]])
             quick = (id(b), id(l), kids)
             c = by_id.get(quick)
             if c is None:
-                c = by_id[quick] = intern.setdefault((b, l, kids), len(intern))
+                c = by_id[quick] = add(b, l, kids)
             cls[v] = c
         return order, cls
 
     def class_ratios(self, root: int, z) -> tuple[list[int], dict[int, int],
                                                  list, list[int]]:
-        """The tree elimination at z: `shape_classes(root)` plus, per class
-        c, the ratio
-
-            r(c) = lambda_c / (z - beta_c - sum_{e child of c} lambda_e r(e))
-
-        and `rep[c]`, the first vertex of the class.  The denominator is
-        the Schur pivot of z - J on the subtree; r(c) is f(c)/f(parent c)
-        for a solution f of the eigen-equation below c.  A zero pivot gives
-        r(c) = None, and a child with r = None makes the parent's pivot
-        infinite, so its r is 0.  z may be a Fraction or a
-        GaussianRational."""
-        order, cls = self.shape_classes(root)
-        beta, lam, children = self.beta, self.lam, self.children
-        ratio: list = []
+        """The tree elimination at z: `shape_classes(root)`, the ratio of
+        each class (`ClassTable.ratios`) and `rep[c]`, the first vertex of
+        class c in the order."""
+        table = ClassTable()
+        order, cls = self.shape_classes(root, table)
         rep: list[int] = []
         for w in order:
-            if cls[w] < len(ratio):
-                continue
-            den = z - beta[w]
-            for d in children[w]:
-                r = ratio[cls[d]]
-                if r is None:
-                    den = None
-                    break
-                den = den - lam[d] * r
-            ratio.append(0 if den is None else lam[w] / den if den else None)
-            rep.append(w)
-        return order, cls, ratio, rep
+            if cls[w] == len(rep):
+                rep.append(w)
+        return order, cls, table.ratios(z), rep
 
     def carry(self, f: dict, roots: Sequence[int], mult: Sequence,
               cls: dict[int, int]):
@@ -234,6 +223,55 @@ class TreeTruncation:
     def __repr__(self):
         return (f"TreeTruncation(top={self.ids[self.top]!r}, "
                 f"size={self.size})")
+
+
+class ClassTable:
+    """Classes of identical subtrees, children first: class c carries
+    `beta[c]`, `lam[c]` and `kids[c]`, the tuple of its children's
+    classes in order, each smaller than c."""
+
+    __slots__ = ("beta", "lam", "kids", "_index")
+
+    def __init__(self):
+        self.beta: list[Fraction] = []
+        self.lam: list[Fraction] = []
+        self.kids: list[tuple[int, ...]] = []
+        self._index: dict[tuple, int] = {}
+
+    def add(self, beta: Fraction, lam: Fraction, kids: tuple[int, ...]) -> int:
+        """The class of a vertex carrying beta and lam above children of
+        the classes `kids`: an existing one if equal, else a new one."""
+        n = len(self.kids)
+        # one hash of the key: Fraction hashes are dear
+        c = self._index.setdefault((beta, lam, kids), n)
+        if c == n:
+            self.beta.append(beta)
+            self.lam.append(lam)
+            self.kids.append(kids)
+        return c
+
+    def ratios(self, z) -> list:
+        """The tree elimination at z: per class c, the ratio
+
+            r(c) = lambda_c / (z - beta_c - sum_{e child of c} lambda_e r(e)).
+
+        The denominator is the Schur pivot of z - J on the subtree; r(c)
+        is f(c)/f(parent c) for a solution f of the eigen-equation below
+        c.  A zero pivot gives r(c) = None, and a child with r = None
+        makes the parent's pivot infinite, so its r is 0.  z may be a
+        Fraction or a GaussianRational."""
+        lam = self.lam
+        ratio: list = []
+        for b, l, kids in zip(self.beta, lam, self.kids):
+            den = z - b
+            for e in kids:
+                r = ratio[e]
+                if r is None:
+                    den = None
+                    break
+                den = den - lam[e] * r
+            ratio.append(0 if den is None else l / den if den else None)
+        return ratio
 
 
 def _fractions(values) -> tuple[Fraction, ...]:
@@ -357,6 +395,38 @@ def homogeneous_tree(d: int, depth: int, lam=Fraction(1),
         lams.append(lam_v)
         betas.append(beta_r(lv, address))
     return TreeTruncation(ids, 0, parent, level, lams, betas)
+
+
+def homogeneous_classes(d: int, depth: int, spine_lam=Fraction(1)
+                        ) -> tuple[ClassTable, list[int]]:
+    """The classes of `homogeneous_tree(d, depth)` with beta = 0 and
+    lambda = `spine_lam` (a constant or a callable of the level) on the
+    leftmost path x_depth, ..., x_0 (the spine) and 1 everywhere else,
+    built without the tree.  Returns the table and the spine classes
+    x_0, ..., x_depth; the first child of x_k is x_{k-1}, the others
+    are the off-spine class of level k - 1.  At most 2 (depth + 1)
+    classes, and none off the spine when d = 1."""
+    if d < 1:
+        raise ValueError("branching d must be >= 1")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
+    rule = _as_rule(spine_lam)
+    zero, one = Fraction(0), Fraction(1)
+    table = ClassTable()
+    spine: list[int] = []
+    off: int | None = None  # the off-spine class one level down
+    for k in range(depth + 1):
+        lam = rule(k)
+        if type(lam) is not Fraction:
+            lam = Fraction(lam)
+        if lam.numerator <= 0:
+            raise ValueError(f"rule produced nonpositive lambda at "
+                             f"{'r' + '.0' * (depth - k)!r}")
+        kids = () if k == 0 else (spine[-1],) + (off,) * (d - 1)
+        spine.append(table.add(zero, lam, kids))
+        if d > 1 and k < depth:
+            off = table.add(zero, one, () if k == 0 else (off,) * d)
+    return table, spine
 
 
 def decorated_path_tree(depth: int, path_lam=Fraction(1), path_beta=Fraction(0),

@@ -1,8 +1,9 @@
 """The per-class computations against per-vertex oracles: shape classes
 against structural signatures, class ratios against the polynomial
-family evaluated at z, and class-mass growth norms against the norms of
-the solution fields `solve_pair` builds vertex by vertex.  Every
-comparison is exact."""
+family evaluated at z, class-mass growth norms against the norms of the
+solution fields `solve_pair` builds vertex by vertex, and the classes
+`homogeneous_classes` builds without a tree against those of the
+materialized tree.  Every comparison is exact."""
 
 from fractions import Fraction as F
 
@@ -13,7 +14,8 @@ from conftest import (cut_shape_corpus, exhaustive_corpus, h23, h24,
 from treejacobi.exactmath import GaussianRational as GR
 from treejacobi.exactmath import I
 from treejacobi.solutions import _reduce_path, growth_profile, solve_pair
-from treejacobi.treecore import default_path, homogeneous_tree
+from treejacobi.treecore import (default_path, homogeneous_classes,
+                                 homogeneous_tree)
 from treejacobi.treepoly import family
 
 ZS = (I, GR(F(0), F(-1)), GR(F(1, 2), F(1)), GR(F(-3, 2), F(-2, 3)),
@@ -131,3 +133,85 @@ def test_growth_rows_equal_per_vertex_norms_random(z):
         profile = growth_profile(tree, z, range(len(xs)))
         subtrees = [tree.subtree(x) for x in xs]
         assert _rows(profile) == _per_vertex_rows(subtrees, z), tree
+
+
+# the class generator against the materialized homogeneous tree: the
+# spine is the leftmost path, lambda = `rule` on it and 1 off it
+RULES = {"unit": (F(1), F(1)),
+         "linear": (lambda k: F(k + 1), _linear)}
+DEEPEST = {1: 9, 2: 9, 3: 7, 4: 6}  # at most 5,461 vertices
+CLASS_ZS = (I, GR(F(1, 2), F(1)), GR(F(-1, 3), F(-3, 2)))
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+@pytest.mark.parametrize("d", sorted(DEEPEST))
+def test_class_route_rows_equal_the_materialized_tree(d, rule):
+    spine_lam, tree_lam = RULES[rule]
+    n = DEEPEST[d]
+    tree = homogeneous_tree(d, n, lam=tree_lam)
+    classes = homogeneous_classes(d, n, spine_lam)
+    for z in CLASS_ZS:
+        for depths in (range(n + 1), range(2, n + 1), [n]):
+            assert (growth_profile(classes, z, depths)
+                    == growth_profile(tree, z, depths)), (d, rule, z, depths)
+
+
+def test_class_route_rows_equal_the_materialized_tree_at_depth_15():
+    tree = homogeneous_tree(2, 15, lam=_linear)
+    classes = homogeneous_classes(2, 15, lambda k: F(k + 1))
+    assert (growth_profile(classes, I, range(3, 16))
+            == growth_profile(tree, I, range(3, 16)))
+
+
+def _generator_class(tree, table, spine, w):
+    """The generator's class for vertex w of the materialized tree: the
+    spine class on the leftmost path, else the off-spine class of its
+    level, the second child of the spine vertex one level up."""
+    k = tree.level[w]
+    if tree.ids[w] == "r" + ".0" * (len(spine) - 1 - k):
+        return spine[k]
+    return table.kids[spine[k + 1]][1]
+
+
+@pytest.mark.parametrize("rule", sorted(RULES))
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_generator_classes_are_the_tree_classes(d, rule):
+    spine_lam, tree_lam = RULES[rule]
+    for n in range(6):
+        tree = homogeneous_tree(d, n, lam=tree_lam)
+        table, spine = homogeneous_classes(d, n, spine_lam)
+        _, cls = tree.shape_classes(tree.top)
+        assert len(table.kids) == len(set(cls.values())) <= 2 * (n + 1)
+        if d == 1:
+            assert len(table.kids) == n + 1
+        assert all(c < p for p, kids in enumerate(table.kids) for c in kids)
+        path = default_path(tree)
+        assert [table.lam[c] for c in spine] == [tree.lam[x] for x in path]
+        # every ratio, at nonreal z and at real ones with zero pivots
+        for z in CLASS_ZS + (F(0), F(1), F(-2)):
+            ratio = table.ratios(z)
+            _, tcls, tratio, _ = tree.class_ratios(tree.top, z)
+            assert ([ratio[c] for c in spine]
+                    == [tratio[tcls[x]] for x in path]), (d, n, z)
+            for w in range(tree.size):
+                c = _generator_class(tree, table, spine, w)
+                assert ratio[c] == tratio[tcls[w]], (d, n, z, w)
+
+
+def test_generator_rejects_what_homogeneous_tree_rejects():
+    with pytest.raises(ValueError, match="branching d must be >= 1"):
+        homogeneous_classes(0, 3)
+    with pytest.raises(ValueError, match="depth must be >= 0"):
+        homogeneous_classes(2, -1)
+    for bad in (F(0), -1):
+        def rule(k, bad=bad):
+            return bad if k == 1 else 1
+
+        with pytest.raises(ValueError) as tree_error:
+            homogeneous_tree(2, 3, lam=lambda lv, addr: rule(lv))
+        with pytest.raises(ValueError) as class_error:
+            homogeneous_classes(2, 3, rule)
+        assert str(class_error.value) == str(tree_error.value)
+    # a loop, not a recursion: a deep path needs no stack
+    table, spine = homogeneous_classes(1, 5000)
+    assert len(table.kids) == len(spine) == 5001

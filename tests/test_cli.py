@@ -8,10 +8,10 @@ import jsonschema
 import pytest
 
 import treejacobi
-from treejacobi import cli, spectra
+from treejacobi import spectra
 from treejacobi.cli import build_parser, main
 from treejacobi.reports import REPORT_SCHEMA
-from treejacobi.treecore import build_from_spec
+from treejacobi.treecore import TreeTruncation, build_from_spec
 
 STAR = """
 {"vertices": [
@@ -228,6 +228,15 @@ BOOL_LEVEL = STAR.replace('"level": 1, "beta"', '"level": true, "beta"')
             "--d", "0"]),
     (None, ["construct", "--example", "bounded-path", "--depth", "3",
             "--d=-4"]),
+    # d and the depths are ASCII decimal digits, nothing else `int` takes
+    (None, ["growth", "--generator", "homogeneous:2_0", "--depths", "1..2"]),
+    (None, ["growth", "--generator", "homogeneous:+2", "--depths", "1..2"]),
+    (None, ["growth", "--generator", "homogeneous: 2", "--depths", "1..2"]),
+    (None, ["growth", "--generator", "homogeneous:\uff12", "--depths", "1..2"]),
+    (None, ["growth", "--generator", "homogeneous:2", "--depths", "1_0"]),
+    (None, ["growth", "--generator", "homogeneous:2", "--depths", "+1..2"]),
+    (None, ["growth", "--generator", "homogeneous:2", "--depths", "1.. 2"]),
+    (None, ["growth", "--generator", "homogeneous:2", "--depths", "\uff12"]),
 ], ids=["beta-1/0", "numeric-top_lambda", "z-1/0", "unknown-at",
         "unknown-target", "width-0", "width-negative", "numeric-beta",
         "numeric-lambda", "string-level", "bool-level", "empty-depths",
@@ -235,7 +244,9 @@ BOOL_LEVEL = STAR.replace('"level": 1, "beta"', '"level": true, "beta"')
         "growth-branching-x", "empty-width", "empty-spectrum-at",
         "empty-poly-at", "empty-target", "empty-solve-path",
         "empty-wronskian-path", "empty-out", "bounded-path-d-0",
-        "bounded-path-d-negative"])
+        "bounded-path-d-negative", "branching-underscore", "branching-plus",
+        "branching-space", "branching-fullwidth", "depth-underscore",
+        "depth-plus", "depth-space", "depth-fullwidth"])
 def test_bad_input_exits_2_with_one_line(tmp_path, doc, args):
     tree = tmp_path / "tree.json"
     tree_args = []
@@ -280,18 +291,21 @@ def test_growth_input_messages(capsys, args, message):
     assert captured.err == f"error: {message}\n"
 
 
-def test_growth_builds_one_tree(capsys, monkeypatch):
+def test_growth_builds_no_tree(capsys, monkeypatch):
+    # a homogeneous op runs on the generator's classes: no truncation is
+    # constructed, not even at the deepest depth
     built = []
+    init = TreeTruncation.__init__
 
-    def counted(*args, **kwargs):
+    def counted(self, *args, **kwargs):
         built.append(args)
-        return treejacobi.treecore.homogeneous_tree(*args, **kwargs)
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "homogeneous_tree", counted)
+    monkeypatch.setattr(TreeTruncation, "__init__", counted)
     code, report = run(capsys, ["growth", "--generator", "homogeneous:2",
                                 "--path-lambda", "linear", "--depths", "3..6"])
     assert code == 0
-    assert built == [(2, 6)]
+    assert built == []
     assert [row["size"] for row in report["results"]["rows"]] == [
         15, 31, 63, 127]
 

@@ -46,6 +46,20 @@ PINNED = [
     (("growth", "--generator", "homogeneous:2", "--path-lambda", "linear",
       "--depths", "3..8"), 0,
      "415728e584c14adb7240a029353b5cc4cc6fdf53571880ae0a918c1db85b1476"),
+    # the class route: a ternary tree from depth 0 at a z below the real
+    # axis, a 301-level path, and binary unit weights at the pool's z;
+    # small-norm builds its own tree
+    (("growth", "--generator", "homogeneous:3", "--path-lambda", "unit",
+      "--depths", "0..7", "--z=1/3-1/1i"), 0,
+     "d5a9708a9808dfb37382a594572cb1623f5fcbbbfb495e069032bfebcda6623e"),
+    (("growth", "--generator", "homogeneous:1", "--path-lambda", "linear",
+      "--depths", "2..300"), 0,
+     "4aadfa74127efc869478236861294a27dc833d8b4846844a4439ebafe15daa45"),
+    (("growth", "--generator", "homogeneous:2", "--path-lambda", "unit",
+      "--depths", "2..10", "--z=1/2+1/1i"), 0,
+     "f1ed9e984e35d70b8e03e77208302b4c2590921dd8845e3b9b34687502f575bb"),
+    (("growth", "--generator", "small-norm", "--depths", "3..12"), 0,
+     "d0569155cc0384ad805a563777f18908466c092721e023bc1c6699b9d1fff652"),
     (("construct", "--example", "real-obstruction", "--depth", "5",
       "--out", "obstruction.json"), 0,
      "a91ae0bd1b97032f4772162701c5476f23138b0ecb99cbfff7876c36f55e0450"),
@@ -67,8 +81,19 @@ def _digest(capsys, argv) -> tuple[int, str]:
     return code, hashlib.sha256(out.encode("utf-8")).hexdigest()
 
 
-@pytest.mark.parametrize("argv, code, sha", PINNED,
-                         ids=[" ".join(p[0][:3]) for p in PINNED])
+def _ids(pinned) -> list[str]:
+    """Each op's first three arguments, or the shortest longer prefix of
+    its argv that no earlier op has taken."""
+    ids: list[str] = []
+    for argv, _, _ in pinned:
+        k = 3
+        while " ".join(argv[:k]) in ids:
+            k += 1
+        ids.append(" ".join(argv[:k]))
+    return ids
+
+
+@pytest.mark.parametrize("argv, code, sha", PINNED, ids=_ids(PINNED))
 def test_report_is_pinned(capsys, tmp_path, monkeypatch, argv, code, sha):
     monkeypatch.chdir(tmp_path)
     for name, text in TREES.items():

@@ -5,9 +5,9 @@ import pytest
 
 from conftest import random_corpus
 from treejacobi.exactmath import GaussianRational, I
-from treejacobi.solutions import (growth_profile, propagate_real,
-                                  rotated_positivity_report, solve_pair,
-                                  uniqueness_dimension, wronskian)
+from treejacobi.solutions import (SolutionField, growth_profile,
+                                  propagate_real, rotated_positivity_report,
+                                  solve_pair, uniqueness_dimension, wronskian)
 from treejacobi.treecore import (build_from_spec, default_path,
                                  homogeneous_tree, path_tree)
 
@@ -41,6 +41,48 @@ def test_pair_residuals_and_nonvanishing_on_corpus():
         pair = solve_pair(tree, path, I)
         assert pair.v.verify() and pair.u.verify()
         assert pair.v.nonvanishing()
+
+
+def _row_residual(field, v):
+    """z f(v) minus the operator row at v, one Gaussian operation at a
+    time: the oracle for `SolutionField.residual`."""
+    t, f = field.tree, field.values
+    acc = field.z * f[v] - t.beta[v] * f[v] - t.lam[v] * f[t.parent[v]]
+    for c in t.children[v]:
+        acc = acc - t.lam[c] * f[c]
+    return acc
+
+
+def test_residual_equals_the_termwise_row_on_random_fields():
+    # random values leave every residual nonzero in both parts; equal
+    # denominators and unequal ones both occur
+    rng = random.Random(5)
+    checked = 0
+    for tree in random_corpus(17, 30):
+        for z in (I, GR(F(-1, 3), F(3, 2))):
+            values = {v: GR(F(rng.randint(-9, 9), rng.choice((1, 2, 6))),
+                            F(rng.randint(-9, 9), rng.choice((1, 3, 4))))
+                      for v in range(tree.size)}
+            fld = SolutionField(tree, z, values, frozenset(tree.interior()))
+            for v in range(tree.size):
+                if v != tree.top:
+                    assert fld.residual(v) == _row_residual(fld, v)
+                    checked += 1
+    assert checked > 300
+
+
+def test_verify_sees_a_purely_imaginary_residual():
+    # u(x_0) carries no equation; moving it by i/7 leaves only the
+    # residual at x_1 wrong, by -lambda_{x_0} i/7, with real part 0
+    tree = homogeneous_tree(2, 3)
+    pair = solve_pair(tree, default_path(tree), I)
+    x0, x1 = pair.path[0], pair.path[1]
+    values = dict(pair.u.values)
+    values[x0] = values[x0] + GR(F(0), F(1, 7))
+    fld = SolutionField(tree, I, values, pair.u.satisfied_at, pair.path)
+    assert fld.residual(x1) == GR(F(0), -tree.lam[x0] / 7)
+    assert not fld.verify()
+    assert pair.u.verify()
 
 
 def test_single_vertex_pair_is_degenerate():
