@@ -10,11 +10,15 @@ is no floating point anywhere.  Every decision is made from signed
 remainder sequences of primitive integer polynomials and rational
 comparisons, and every sign of a polynomial at a rational point n/d is
 taken in plain ints (homogeneous Horner, no Fraction arithmetic): root
-counting evaluates an integer Sturm chain at the interval ends, root
-isolation and refinement bisect integer numerators over one denominator
-(refinement by the sign of the square-free factor alone), and strict
-interlacing reads the Cauchy index off the leading coefficients of one
-remainder sequence, with no evaluation at all.
+counting evaluates an integer Sturm chain at the interval ends; root
+isolation splits integer numerators over one denominator, evaluating
+the chain only at splits inside an integer root radius (Fujiwara's
+bound); refinement reaches bisection's dyadic cell by quadratic
+interval refinement on the sign of the square-free factor alone; the
+remainder sequence of (p, p') runs once per polynomial, as its Sturm
+chain and, when p is not square-free, as the gcd behind Yun's loop; and
+strict interlacing reads the Cauchy index off the leading coefficients
+of one remainder sequence, with no evaluation at all.
 
 Text formats:
 
@@ -88,7 +92,8 @@ class GaussianRational:
         return _lowest(p * s, r * q, q * s)
 
     def __reduce__(self):
-        # pickle and copy (`dataclasses.asdict` deep-copies) rebuild from parts
+        # pickle and copy rebuild from parts: the default protocol would
+        # call __new__ without them
         return GaussianRational, (self.re, self.im)
 
     @staticmethod
@@ -613,13 +618,16 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     p = p.monic()
     if p.degree == 0:
         return []
-    dp = p.derivative()
-    g = poly_gcd(p, dp)
+    return _yun(p, poly_gcd(p, p.derivative()))
+
+
+def _yun(p: Poly, g: Poly) -> list[tuple[Poly, int]]:
+    """Yun's loop for a monic p of degree >= 1, given g = monic gcd(p, p')."""
     if g.degree == 0:
         return [(p, 1)]
     out = []
     w = p.exact_div(g)
-    y = dp.exact_div(g)
+    y = p.derivative().exact_div(g)
     i = 1
     while w.degree > 0:
         z = y - w.derivative()
@@ -670,31 +678,72 @@ class RootSet:
         return [r.as_strings() for r in self.roots]
 
 
-def _isolate_square_free(g: Poly) -> list[tuple[Fraction, Fraction]]:
-    """Disjoint half-open intervals (a, b], one distinct root of g in each.
-    A stack entry (a, b, V(a), V(b), d) is (a/d, b/d] with the chain's sign
-    variations at its ends, so a split evaluates the chain once: at the
-    midpoint, nudged toward a off the roots of g, ((k-1)a + b) / (kd)."""
-    if g.degree == 0:
-        return []
-    chain = sturm_chain(g)
+def _iroot_ceil(q: int, i: int) -> int:
+    """The least integer r >= 0 with r^i >= q, for q >= 0 and i >= 1."""
+    if i == 1 or q <= 1:
+        return q
+    r = 1 << -(-q.bit_length() // i)  # r^i >= 2^bits > q
+    while True:  # Newton from above stays above the real root
+        s = ((i - 1) * r + q // r ** (i - 1)) // i
+        if s >= r:
+            break
+        r = s
+    while r ** i < q:
+        r += 1
+    return r
+
+
+def _root_radius(prim: Sequence[int]) -> int:
+    """An integer R >= |z| for every complex root z of the integer
+    polynomial `prim`: Fujiwara's bound 2 max_i |a_(n-i) / a_n|^(1/i),
+    with each i-th root rounded up in integers.  Unless M, the maximum,
+    is 0 (p = a_n z^n), no root reaches it: for |z| >= 2M the lower terms
+    sum to at most (1 - 2^-n) |a_n z^n|."""
+    n = len(prim) - 1
+    lead = abs(prim[-1])
+    r = 0
+    for i in range(1, n + 1):
+        c = abs(prim[n - i])
+        if c > lead * r ** i:
+            r = _iroot_ceil(-(-c // lead), i)
+    return 2 * r
+
+
+def _isolate_square_free(g: Poly, chain: Sequence[Poly]
+                         ) -> list[tuple[Fraction, Fraction]]:
+    """Disjoint half-open intervals (a, b], one distinct root of g in each,
+    from g's Sturm chain.  A stack entry (a, b, V(a), V(b), d) is
+    (a/d, b/d] with the chain's sign variations at its ends, so a split
+    evaluates the chain at most once: at the midpoint, nudged toward a off
+    the roots of g, ((k-1)a + b) / (kd).  It starts from the Cauchy
+    bound, past every real root, where V is V(-inf) and V(+inf).  A split
+    beyond the root radius R decides its count without the chain: past
+    +R (-R) no root lies on the far side, so V there is V(b) (V(a)); an
+    unnudged midpoint past R is no root, so it is not nudged either."""
     gp = g.prim
     bound = cauchy_root_bound(g)
+    radius = _root_radius(gp)
     n, d = bound.numerator, bound.denominator
     out: list[tuple[Fraction, Fraction]] = []
-    stack = [(-n, n, _variations_at(chain, -n, d),
-              _variations_at(chain, n, d), d)]
+    stack = [(-n, n, _variations_at_inf(chain, False),
+              _variations_at_inf(chain, True), d)]
     while stack:
         a, b, va, vb, d = stack.pop()
         cnt = va - vb
         if cnt == 1:
             out.append((Fraction(a, d), Fraction(b, d)))
         elif cnt > 1:
-            k = 2
-            while not _homogeneous(gp, (k - 1) * a + b, k * d):
-                k += 1
-            m = (k - 1) * a + b
-            vm = _variations_at(chain, m, k * d)
+            k, m = 2, a + b
+            if m > 2 * d * radius:
+                vm = vb
+            elif m < -2 * d * radius:
+                vm = va
+            else:
+                while not _homogeneous(gp, m, k * d):
+                    k += 1
+                    m = (k - 1) * a + b
+                vm = (va if m < -k * d * radius
+                      else _variations_at(chain, m, k * d))
             stack.append((k * a, m, va, vm, k * d))
             stack.append((m, k * b, vm, vb, k * d))
     out.sort()
@@ -703,28 +752,81 @@ def _isolate_square_free(g: Poly) -> list[tuple[Fraction, Fraction]]:
 
 def _refine_interval(g: Poly, a: Fraction, b: Fraction,
                      width: Fraction) -> tuple[Fraction, Fraction]:
-    """Shrink (a, b] to width <= `width` by bisection on the sign of g.
+    """Bisection's answer for shrinking (a, b] to width <= `width`.
 
-    g is a square-free factor with exactly one root
-    in (a, b] and g(a) != 0, so that root lies in (a, m) exactly when g
-    changes sign between a and the midpoint m, taken on numerators over
-    one denominator d.  A midpoint that is the root itself is returned as
-    the exact interval (m, m)."""
-    d = math.lcm(a.denominator, b.denominator)
-    lo, hi = a.numerator * (d // a.denominator), b.numerator * (d // b.denominator)
-    wn, wd = width.numerator, width.denominator
-    left = _homogeneous(g.prim, lo, d) > 0
-    while (hi - lo) * wd > wn * d:
-        m = lo + hi
-        d *= 2
-        sm = _homogeneous(g.prim, m, d)
-        if not sm:
-            return Fraction(m, d), Fraction(m, d)
-        if (sm > 0) != left:
-            lo, hi = 2 * lo, m
+    g is a square-free factor with exactly one root r in (a, b] and
+    g(a) != 0.  Let k be the number of halvings that bring b - a to
+    `width` or below.  The answer is (r, r) when r is a point of the
+    dyadic grid of (a, b] at a level <= k strictly inside (a, b), where
+    bisection would test it; otherwise the level-k cell holding r (the
+    last one when r = b).  It is found by quadratic interval refinement
+    (Abbott 2006): a secant guess from the values at the cell's ends
+    picks one of its N subcells, one or two sign tests confirm it, and
+    N squares (up to level k) on success; on failure a bisection step
+    follows and N falls to its square root.  A point is its index i on
+    the level-k grid, (A 2^k + i L) / (D 2^k) for (a, b] = (A/D, (A+L)/D];
+    each is evaluated at its lowest dyadic denominator, and the value
+    scaled to the level-k one, so all values share one homogenizing
+    factor.  Every tested point lies strictly inside (a, b), and a cell
+    end is a or b or a tested point, so a grid root cannot be missed."""
+    den = math.lcm(a.denominator, b.denominator)
+    start = a.numerator * (den // a.denominator)
+    span = b.numerator * (den // b.denominator) - start
+    q = -(-span * width.denominator // (width.numerator * den))
+    k = (q - 1).bit_length() if q > 1 else 0
+    if not k:
+        return a, b
+    prim, deg = g.prim, g.degree
+
+    def value(i: int) -> int:
+        v = min((i & -i).bit_length() - 1, k) if i else k
+        e = k - v
+        return _homogeneous(prim, (start << e) + (i >> v) * span,
+                            den << e) << (v * deg)
+
+    def point(i: int) -> Fraction:
+        return Fraction((start << k) + i * span, den << k)
+
+    values = {0: value(0)}
+
+    def probe(i: int) -> int:
+        if i not in values:
+            values[i] = value(i)
+        return values[i]
+
+    left = values[0] > 0
+    lo, hi, t = 0, 1 << k, 2  # the cell (lo, hi] and N = 2^t
+    while hi - lo > 1:
+        t = min(t, (hi - lo).bit_length() - 1)
+        step = (hi - lo) >> t
+        c = 1
+        if t > 1:  # the secant's subcell: r - lo ~ |f(lo)| / (|f(lo)| + |f(hi)|)
+            fl, fh = abs(values[lo]), abs(probe(hi))
+            c = min(max(((2 * fl << t) + fl + fh) // (2 * (fl + fh)), 1),
+                    (1 << t) - 1)
+        m = lo + c * step
+        if not probe(m):
+            return point(m), point(m)
+        # the guessed cell is (m, m + step] if r is above m, else (m - step, m]
+        other = m + step if (values[m] > 0) == left else m - step
+        ok = other in (lo, hi)
+        if not ok:
+            if not probe(other):
+                return point(other), point(other)
+            ok = ((values[other] > 0) == left) != (other > m)
+        if ok:
+            lo, hi = min(m, other), max(m, other)
+            t *= 2
         else:
-            lo, hi = m, 2 * hi
-    return Fraction(lo, d), Fraction(hi, d)
+            t = max(t // 2, 1)
+            mid = (lo + hi) // 2
+            if not probe(mid):
+                return point(mid), point(mid)
+            if (values[mid] > 0) == left:
+                lo = mid
+            else:
+                hi = mid
+    return point(lo), point(hi)
 
 
 def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootSet:
@@ -733,7 +835,10 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootSet:
     Roots of different square-free factors are refined until all isolating
     intervals are pairwise disjoint.  `width` additionally refines every
     interval below the given size (display quality only; no decision in
-    this package depends on it).
+    this package depends on it).  The Sturm chain of p comes first: if it
+    ends in a constant, p is square-free and the chain isolates its
+    roots; otherwise its last member is gcd(p, p'), which starts Yun's
+    loop, so the remainder sequence of (p, p') runs once.
     """
     if p.is_zero:
         raise ValueError("cannot isolate roots of the zero polynomial")
@@ -741,9 +846,18 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootSet:
         # refinement would never reach a width <= 0 around an irrational root
         raise ValueError("root-interval width must be positive, got "
                          f"{format_rational(width)}")
+    p = p.monic()
+    if p.degree == 0:
+        return RootSet(())
+    chain = sturm_chain(p)
+    if chain[-1].degree == 0:
+        factors = [(p, 1, chain)]
+    else:
+        factors = [(g, mult, sturm_chain(g))
+                   for g, mult in _yun(p, chain[-1].monic())]
     tagged: list[tuple[Fraction, Fraction, int, Poly]] = []
-    for g, mult in square_free_decomposition(p):
-        tagged += [(a, b, mult, g) for a, b in _isolate_square_free(g)]
+    for g, mult, g_chain in factors:
+        tagged += [(a, b, mult, g) for a, b in _isolate_square_free(g, g_chain)]
     # disjointness across factors (roots themselves are pairwise distinct)
     changed = True
     while changed:

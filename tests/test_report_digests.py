@@ -27,7 +27,9 @@ TREES = {
     "h24.json": lambda: h24().to_json(),
     "star.json": lambda: build_from_spec(STAR).to_json(),
     "p14.json": lambda: seeded_path(14).to_json(),
+    "p30.json": lambda: seeded_path(30).to_json(),
     "unit23.json": lambda: homogeneous_tree(2, 3).to_json(),
+    "unit33.json": lambda: homogeneous_tree(3, 3).to_json(),
     "obstruction3.json": lambda: build_real_obstruction(3).tree.to_json(),
 }
 
@@ -72,6 +74,15 @@ PINNED = [
      "edb5b007384ebe0bdcb01e63ec5b9ff66743d4886f102b05d64eeb756d5ff758"),
     (("solve", "--tree", "obstruction3.json", "--z=0/1"), 1,
      "2c4cef178bc32d2d8b75df136ed9ea24d50ee7b6ae70248615191acc65d327be"),
+    # root isolation: a degree-31 top factor; shared factors of
+    # multiplicity 2 (the ternary unit tree's siblings share every root);
+    # a width off the dyadic grid
+    (("spectrum", "--tree", "p30.json", "--verify"), 0,
+     "b9f7da37da3fc44ce1d425517cf0b31d352c0c5f9f23a9a7b72729800a90cbea"),
+    (("spectrum", "--tree", "unit33.json", "--verify"), 0,
+     "54cbccf8cff5374ef7d087ca16adc37d3510b2fd2d6745f4b41909d072b64bbe"),
+    (("spectrum", "--tree", "h23.json", "--width=1/3", "--verify"), 0,
+     "d25b0d09b06bfa90d24e66d603c93e3e9bab2b1ffe6c04c3b0d61e7a5fedb3de"),
 ]
 
 
