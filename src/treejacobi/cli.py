@@ -81,8 +81,7 @@ def _cmd_poly(args, argv) -> int:
     fam = treepoly.family(tree, at)
     results: dict = {"anchor": tree.ids[at]}
     if args.target is not None:
-        t = tree.index_of(args.target)
-        entry = fam.up_poly[at] if t == tree.parent[at] else fam.entry(at, t)
+        entry = fam.entry(at, tree.index_of(args.target))
         results["entry"] = {"target": args.target, "coefficients": entry}
     else:
         results["self"] = fam.self_poly[at]
@@ -199,8 +198,6 @@ def _cmd_growth(args, argv) -> int:
             raise ValueError("branching d must be >= 1")
         if min(depths) < 0:
             raise ValueError("depth must be >= 0")
-        if z.im == 0:
-            raise ValueError("solve_pair needs a nonreal z; use propagate_real")
         lam = ((lambda k: Fraction(k + 1)) if args.path_lambda == "linear"
                else Fraction(1))
         profile = solutions.growth_profile(

@@ -18,9 +18,9 @@ exact evidence its defining property demands:
 Positivity certificates: ``check_positivity_certificate`` verifies the
 pointwise certificate inequality, and ``construct_positivity_certificate``
 produces an exact equality-mode certificate for a positive-definite
-truncation from one tree elimination at 0, `TreeTruncation.class_ratios`:
-the signs of its ratios decide positive definiteness, and the ratios
-carry the certificate down from the top.
+truncation from one tree elimination at 0 (`ClassTable.ratios` on
+`TreeTruncation.classes`): the signs of its ratios decide positive
+definiteness, and the ratios carry the certificate down from the top.
 """
 
 from __future__ import annotations
@@ -123,19 +123,20 @@ def construct_positivity_certificate(tree: TreeTruncation,
     at every non-top vertex of a positive-definite truncation, normalized
     to 1 at the origin x_0 of `default_path`.
 
-    One tree elimination at 0 (`TreeTruncation.class_ratios`) decides and
-    builds it.  There r(v) = -lambda_v / (Schur pivot of J at v), with None
-    for a zero pivot and 0 above one, so J is positive definite exactly
-    when every ratio is negative; m(w) = -r(w) m(parent w), taken from the
-    top down, is then the equation above at every non-top vertex.  The
-    side subtree at s folds onto its path vertex with the Schur mass
-    lambda_s^2 / pivot(s) = -lambda_s r(s).  The regularized resolvent
-    column (1/n_reg I + sign-flipped J)^{-1} delta at the path origin is
-    also computed, as a strictly positive witness and a cross-check on the
-    side masses."""
+    One tree elimination at 0 (`ClassTable.ratios` on
+    `TreeTruncation.classes`) decides and builds it.  There r(v) =
+    -lambda_v / (Schur pivot of J at v), with None for a zero pivot and 0
+    above one, so J is positive definite exactly when every ratio is
+    negative; m(w) = -r(w) m(parent w), taken from the top down, is then
+    the equation above at every non-top vertex.  The side subtree at s
+    folds onto its path vertex with the Schur mass lambda_s^2 / pivot(s)
+    = -lambda_s r(s).  The regularized resolvent column (1/n_reg I +
+    sign-flipped J)^{-1} delta at the path origin is also computed, as a
+    strictly positive witness and a cross-check on the side masses."""
     path = default_path(tree)
-    order, cls, ratio, _ = tree.class_ratios(tree.top, Fraction(0))
-    bad = next((v for v in order
+    table, cls = tree.classes
+    ratio = table.ratios(Fraction(0))
+    bad = next((v for v in tree._post_order(tree.top)
                 if ratio[cls[v]] is None or ratio[cls[v]] >= 0), None)
     if bad is not None:
         raise PositivityError(
@@ -154,7 +155,7 @@ def construct_positivity_certificate(tree: TreeTruncation,
         masses_reg.append(sum((tree.lam[s] * m_reg[s] for s in sides),
                               Fraction(0)) / m_reg[x])
     m = {tree.top: Fraction(1)}
-    tree.carry(m, tree.children[tree.top], flipped, cls)
+    tree.carry(m, tree.children[tree.top], flipped)
     origin = m[path[0]]
     m = {v: x / origin for v, x in m.items()}
     _verify_equality_certificate(tree, m)
@@ -172,8 +173,8 @@ def _regularized_witness(tree: TreeTruncation, path: PathSelection,
     for a positive semidefinite J.  The right-hand side is carried up the
     path by a forward sweep; back-substitution from the top then gives
     the path values, and f(w) = -r(w) f(parent w) off the path."""
-    _, cls, ratio, _ = tree.class_ratios(tree.top, -eps)
-    flipped = [-r for r in ratio]
+    table, cls = tree.classes
+    flipped = [-r for r in table.ratios(-eps)]
     xs = path.vertices
     rhs = [Fraction(1)]
     for v in xs[:-1]:
@@ -183,7 +184,7 @@ def _regularized_witness(tree: TreeTruncation, path: PathSelection,
     for k in reversed(range(len(xs))):
         v = xs[k]
         f[v] = above = flipped[cls[v]] * (rhs[k] / tree.lam[v] + above)
-    tree.carry(f, [s for sides in path.sides for s in sides], flipped, cls)
+    tree.carry(f, [s for sides in path.sides for s in sides], flipped)
     if any(x <= 0 for x in f.values()):
         raise PositivityError("regularized witness failed strict positivity")
     return {v: x / f[xs[0]] for v, x in f.items()}
@@ -570,7 +571,8 @@ def _kill_beta(t: TreeTruncation) -> tuple[Fraction, int]:
     0 is one-dimensional (checked by elimination); the eigen-equation at
     the root with f(above) = 0 then gives the diagonal
     -sum_c lambda_c r(c)."""
-    _, cls, ratio, _ = t.class_ratios(t.top, Fraction(0))
+    table, cls = t.classes
+    ratio = table.ratios(Fraction(0))
     # the root's class is the last one: no vertex below shares its subtree
     if any(r is None or r >= 0 for r in ratio[:-1]):
         raise ConstructionError(

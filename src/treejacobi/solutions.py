@@ -12,7 +12,8 @@ r(c) = f(c)/f(parent of c), which satisfy the tree continued fraction
 
 The ratio depends only on the subtree below c, so it is computed once per
 class of identical subtrees by the package's one tree elimination,
-`TreeTruncation.class_ratios`, with no polynomial built.  Folding each
+`ClassTable.ratios` on the truncation's one class table
+(`TreeTruncation.classes`), with no polynomial built.  Folding each
 side subtree hanging off a distinguished path into an effective diagonal
 (`SideReduction`) turns the path values into a classical three-term
 recursion, which `classical1d.recurrence_values` computes.  This module constructs the
@@ -91,19 +92,17 @@ class SolutionPair:
 @dataclass
 class _PathReduction:
     """z and a path, with every subtree reduced once per class of
-    identical subtrees (`TreeTruncation.class_ratios`).
+    identical subtrees (`TreeTruncation.classes`).
 
     `ratio[c]` is f(w)/f(parent of w) for the solution f below any vertex
-    w of class c, or None where the Schur pivot of w is zero (real z
-    only), and `rep[c]` is the first such w; children's classes come
-    first.  `diag[k]` is beta at x_k plus the side reduction of its
-    subtrees off the path (`PathSelection.sides`) whose ratio is not
+    w of class c (`cls[w]`), or None where the Schur pivot of w is zero
+    (real z only).  `diag[k]` is beta at x_k plus the side reduction of
+    its subtrees off the path (`PathSelection.sides`) whose ratio is not
     None."""
 
     z: GaussianRational
-    cls: dict[int, int]
+    cls: list[int]
     ratio: list
-    rep: list[int]
     reductions: tuple[SideReduction, ...]
     diag: list
     lam: list[Fraction]
@@ -136,8 +135,8 @@ def _nonreal(z) -> GaussianRational:
 
 def _reduce_path(tree: TreeTruncation, path: PathSelection,
                  z) -> _PathReduction:
-    """Class ratios by the tree continued fraction
-    (`TreeTruncation.class_ratios`), which is self_poly[c](z) /
+    """Class ratios by the tree continued fraction (`ClassTable.ratios`
+    on `TreeTruncation.classes`), which is self_poly[c](z) /
     up_poly[c](z) with the family recursion divided through by
     self_poly[c](z); then the side reductions.  At nonreal z no ratio is
     None: by induction from the leaves, every pivot has an imaginary part
@@ -147,13 +146,14 @@ def _reduce_path(tree: TreeTruncation, path: PathSelection,
         raise ValidationError("path must start at a level-0 vertex")
     if not path.reaches_top():
         raise ValidationError("path must reach the top of the truncation")
-    _, cls, ratio, rep = tree.class_ratios(tree.top, z)
+    table, cls = tree.classes
+    ratio = table.ratios(z)
     side = [sum((tree.lam[y] * ratio[cls[y]] for y in ys
                  if ratio[cls[y]] is not None), _ZERO)
             for ys in path.sides]
     reductions = tuple(SideReduction(tree.ids[x], s)
                        for x, s in zip(path.vertices[1:], side[1:]))
-    return _PathReduction(z, cls, ratio, rep, reductions,
+    return _PathReduction(z, cls, ratio, reductions,
                           [tree.beta[x] + s for x, s in zip(path.vertices, side)],
                           [tree.lam[w] for w in path.vertices])
 
@@ -171,8 +171,8 @@ def solve_pair(tree: TreeTruncation, path: PathSelection,
     for xk, fv, fu, ys in zip(path.vertices, red.v_path(), red.u_path(),
                               path.sides):
         vv[xk], uu[xk] = fv, fu
-        tree.carry(vv, ys, red.ratio, red.cls)
-        tree.carry(uu, ys, red.ratio, red.cls)
+        tree.carry(vv, ys, red.ratio)
+        tree.carry(uu, ys, red.ratio)
     interior = frozenset(tree.interior())
     v_field = SolutionField(tree, red.z, vv, interior, path)
     u_field = SolutionField(tree, red.z, uu, interior - {path[0]}, path)
@@ -365,9 +365,8 @@ def propagate_real(tree: TreeTruncation, r: Fraction) -> PropagationResult:
     # per class: a zero pivot strictly below, where the ratio product
     # meets 0 * None and only the family rows P(y, w)(r) give the field
     deep: list[bool] = []
-    for w in red.rep:
-        deep.append(any(ratio[cls[d]] is None or deep[cls[d]]
-                        for d in tree.children[w]))
+    for kids in tree.classes[0].kids:
+        deep.append(any(ratio[e] is None or deep[e] for e in kids))
     f: dict[int, GaussianRational] = {}
     free: list[str] = []
     blocked: int | None = None
@@ -386,7 +385,7 @@ def propagate_real(tree: TreeTruncation, r: Fraction) -> PropagationResult:
                 for w in tree.descendants(y):
                     f[w] = scale * fam.entry(y, w)(r)
             else:
-                tree.carry(f, (y,), ratio, cls)
+                tree.carry(f, (y,), ratio)
         if blocked is not None:
             break
     if blocked is not None:
@@ -484,10 +483,8 @@ def growth_profile(tree: TreeTruncation | tuple[ClassTable, list[int]],
     its children other than x_{k-1}; x_k adds |v(x_k)|^2 (1 + sum_{side y}
     S(y)) to the squared norm, and 1 plus their counts to the size."""
     if isinstance(tree, TreeTruncation):
-        path = default_path(tree)
-        table = ClassTable()
-        _, cls = tree.shape_classes(tree.top, table)
-        spine = [cls[x] for x in path.vertices]
+        table, cls = tree.classes
+        spine = [cls[x] for x in default_path(tree).vertices]
     else:
         table, spine = tree
     z = _nonreal(z)

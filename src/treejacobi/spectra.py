@@ -13,7 +13,8 @@ family recursion and serves as the oracle for the spectral factorization:
 children of t).  Eigenvalue counting against rational thresholds is done
 two ways: Descartes' rule of signs on the characteristic polynomial
 (negative eigenvalues only), and the signs of the pivots of the tree
-elimination (`TreeTruncation.class_ratios`), O(n) per threshold.
+elimination (`ClassTable.ratios` on `TreeTruncation.classes`), O(n) per
+threshold.
 """
 
 from __future__ import annotations
@@ -27,20 +28,22 @@ from .treepoly import PolyFamily, family
 
 
 def char_poly(tree: TreeTruncation, at: int | None = None) -> Poly:
-    """det(zI - J_x), monic, by the vertex-deletion recursion on the tree."""
-    anchor = tree.top if at is None else at
-    phi: dict[int, Poly] = {}        # char poly of the subtree at v
-    phi_open: dict[int, Poly] = {}   # char poly of the subtree minus v
-    for v in tree._post_order(anchor):
-        # over the children folded in so far: prod = prod_c phi(c), and
-        # cross = sum_c lambda_c^2 phi_open(c) prod_{c' != c} phi(c')
+    """det(zI - J_x), monic, by the vertex-deletion recursion on the tree,
+    once per class of identical subtrees (`TreeTruncation.classes`)."""
+    table, cls = tree.classes
+    root = cls[tree.top if at is None else at]
+    phi: dict[int, Poly] = {}        # char poly of the class's subtree
+    phi_open: dict[int, Poly] = {}   # char poly of that subtree minus its top
+    for c in table.below(root):
+        # over the children folded in so far: prod = prod_e phi(e), and
+        # cross = sum_e lambda_e^2 phi_open(e) prod_{e' != e} phi(e')
         prod, cross = ONE, Poly()
-        for c in tree.children[v]:
-            cross = cross * phi[c] + (tree.lam[c] ** 2) * (phi_open[c] * prod)
-            prod = prod * phi[c]
-        phi_open[v] = prod
-        phi[v] = Poly([-tree.beta[v], 1]) * prod - cross
-    return phi[anchor]
+        for e in table.kids[c]:
+            cross = cross * phi[e] + (table.lam[e] ** 2) * (phi_open[e] * prod)
+            prod = prod * phi[e]
+        phi_open[c] = prod
+        phi[c] = Poly([-table.beta[c], 1]) * prod - cross
+    return phi[root]
 
 
 # ---------------------------------------------------------------------
@@ -154,18 +157,21 @@ def tree_inertia(tree: TreeTruncation, sigma: Fraction,
     are the numbers of eigenvalues of the truncation below, at and above
     sigma, exact and with multiplicity.
 
-    The class ratio r(v) of `TreeTruncation.class_ratios` at sigma has the
-    sign of the pivot of sigma - J, so r(v) > 0 counts below and r(v) < 0
-    above.  A zero pivot (r = None) below the anchor pairs with its
-    parent, whose pivot turns infinite (r = 0): the 2x2 block has one
-    eigenvalue each side of sigma, and each further zero-pivot child of
-    the same parent is decoupled and counts at sigma.  A zero pivot at the
-    anchor counts at sigma.
+    The ratio r(v) of v's class (`ClassTable.ratios` of
+    `TreeTruncation.classes`) at sigma has the sign of the pivot of
+    sigma - J, so r(v) > 0 counts below and r(v) < 0 above.  A zero pivot
+    (r = None) below the anchor pairs with its parent, whose pivot turns
+    infinite (r = 0): the 2x2 block has one eigenvalue each side of
+    sigma, and each further zero-pivot child of the same parent is
+    decoupled and counts at sigma.  A zero pivot at the anchor counts at
+    sigma.
     """
     anchor = tree.top if at is None else at
-    order, cls, ratio, _ = tree.class_ratios(anchor, Fraction(sigma))
+    table, cls = tree.classes
+    ratio = table.ratios(Fraction(sigma))
     below = zero = above = 0
-    for v in order:
+    for v in (range(tree.size) if anchor == tree.top
+              else tree.descendants(anchor)):
         r = ratio[cls[v]]
         if r is None:
             zero += v == anchor

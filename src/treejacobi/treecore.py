@@ -20,8 +20,9 @@ Rationals travel as ``"p/q"`` strings; serialization round-trips exactly.
 
 Computations that depend only on the shape and weights of subtrees run
 on a `ClassTable`, one entry per class of identical subtrees: a
-truncation fills it by hash-consing (`TreeTruncation.shape_classes`), and
-`homogeneous_classes` builds it for a homogeneous tree without the tree.
+truncation hash-conses its own once and keeps it
+(`TreeTruncation.classes`), and `homogeneous_classes` builds one for a
+homogeneous tree without the tree.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class TreeTruncation:
     """Immutable finite truncation; vertices are dense integer indices."""
 
     __slots__ = ("ids", "top", "parent", "children", "level", "lam", "beta",
-                 "cut", "_index")
+                 "cut", "_index", "_classes")
 
     def __init__(self, ids: Sequence[str], top: int,
                  parent: Sequence[int | None], level: Sequence[int],
@@ -59,6 +60,7 @@ class TreeTruncation:
                 kids[p].append(v)
         self.children = tuple(tuple(k) for k in kids)
         self._index = {name: i for i, name in enumerate(self.ids)}
+        self._classes: tuple[ClassTable, list[int]] | None = None
         self._validate()
 
     # -- basic structure ----------------------------------------------
@@ -99,54 +101,42 @@ class TreeTruncation:
         out.reverse()
         return out
 
-    def shape_classes(self, root: int, table: "ClassTable | None" = None
-                      ) -> tuple[list[int], dict[int, int]]:
-        """Hash-cons the subtree at root into classes of identical subtrees.
+    @property
+    def classes(self) -> tuple["ClassTable", list[int]]:
+        """The classes of identical subtrees, hash-consed once and kept:
+        a `ClassTable` and the class id of every vertex.
 
-        Returns the children-before-parent order of its vertices and a
-        dense class id per vertex.  Two vertices share a class exactly when
-        they carry the same (beta, lambda) and their children, in order,
-        share classes.  Ids count up in order of first appearance, so every
-        child class has a smaller id than its parent's.  The classes go
-        into `table` (a fresh `ClassTable` when none is given)."""
-        order = self._post_order(root)
-        beta, lam, children = self.beta, self.lam, self.children
-        add = (ClassTable() if table is None else table).add
-        cls: dict[int, int] = {}
-        # generators share coefficient objects; keying on their identity
-        # first spares most Fraction hashes, and equal values still meet
-        # in the table
-        by_id: dict[tuple, int] = {}
-        for v in order:
-            b, l, kids = beta[v], lam[v], tuple([cls[c] for c in children[v]])
-            quick = (id(b), id(l), kids)
-            c = by_id.get(quick)
-            if c is None:
-                c = by_id[quick] = add(b, l, kids)
-            cls[v] = c
-        return order, cls
+        Two vertices share a class exactly when they carry the same
+        (beta, lambda) and their children, in order, share classes.  Ids
+        count up in a children-first walk from the top, so every child
+        class has a smaller id than its parent's and the top's class is
+        the last one."""
+        if self._classes is None:
+            table = ClassTable()
+            beta, lam, children = self.beta, self.lam, self.children
+            cls = [0] * self.size
+            # generators share coefficient objects; keying on their
+            # identity first spares most Fraction hashes, and equal values
+            # still meet in the table
+            by_id: dict[tuple, int] = {}
+            for v in self._post_order(self.top):
+                b, l = beta[v], lam[v]
+                kids = tuple([cls[c] for c in children[v]])
+                quick = (id(b), id(l), kids)
+                c = by_id.get(quick)
+                if c is None:
+                    c = by_id[quick] = table.add(b, l, kids)
+                cls[v] = c
+            self._classes = table, cls
+        return self._classes
 
-    def class_ratios(self, root: int, z) -> tuple[list[int], dict[int, int],
-                                                 list, list[int]]:
-        """The tree elimination at z: `shape_classes(root)`, the ratio of
-        each class (`ClassTable.ratios`) and `rep[c]`, the first vertex of
-        class c in the order."""
-        table = ClassTable()
-        order, cls = self.shape_classes(root, table)
-        rep: list[int] = []
-        for w in order:
-            if cls[w] == len(rep):
-                rep.append(w)
-        return order, cls, table.ratios(z), rep
-
-    def carry(self, f: dict, roots: Sequence[int], mult: Sequence,
-              cls: dict[int, int]):
+    def carry(self, f: dict, roots: Sequence[int], mult: Sequence):
         """Extend f down the subtrees at `roots`, parents first, by
-        f(w) = mult[cls[w]] * f(parent w); f must hold the parent of every
-        root.  With the ratios of `class_ratios` as `mult` this is the
-        solution below each root; the sign-flipped truncation passes
-        `[-r for r in ratio]`."""
-        parent = self.parent
+        f(w) = mult[class of w] * f(parent w); f must hold the parent of
+        every root.  With `ClassTable.ratios` of `classes` as `mult` this
+        is the solution below each root; the sign-flipped truncation
+        passes `[-r for r in ratio]`."""
+        parent, cls = self.parent, self.classes[1]
         for s in roots:
             for w in self.descendants(s):
                 f[w] = mult[cls[w]] * f[parent[w]]
@@ -249,6 +239,15 @@ class ClassTable:
             self.lam.append(lam)
             self.kids.append(kids)
         return c
+
+    def below(self, c: int) -> list[int]:
+        """The classes of the subtree of class c, children first (c is
+        the last)."""
+        inside = {c}
+        for d in range(c, -1, -1):
+            if d in inside:
+                inside.update(self.kids[d])
+        return sorted(inside)
 
     def ratios(self, z) -> list:
         """The tree elimination at z: per class c, the ratio

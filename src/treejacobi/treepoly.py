@@ -50,34 +50,31 @@ class PolyFamily:
 
     def _build(self):
         t = self.tree
+        table, cls = t.classes
         # one polynomial computation per class of identical subtrees, so
-        # homogeneous regions cost one per distinct shape
-        order, cls = t.shape_classes(self.anchor)
-        memo: dict[int, tuple[Poly, Poly]] = {}
-        for v in order:
-            kids = t.children[v]
-            s = cls[v]
-            if s in memo:
-                self.self_poly[v], self.up_poly[v] = memo[s]
-                continue
-            if not kids:
-                self.self_poly[v] = ONE
-                self.up_poly[v] = Poly([-t.beta[v], 1]) * (Fraction(1) / t.lam[v])
-                memo[s] = (self.self_poly[v], self.up_poly[v])
-                continue
-            lcm = poly_lcm_many([self.up_poly[c] for c in kids])
-            self.self_poly[v] = lcm
-            acc = Poly([-t.beta[v], 1]) * lcm
-            for c in kids:
-                up_c = self.up_poly[c]
-                if lcm == up_c.monic():  # frequent: identical siblings
-                    transfer = self.self_poly[c] * (Fraction(1) / up_c.leading())
+        # homogeneous regions cost one per distinct shape; P(v, c) for a
+        # child c depends on the classes of v and c only
+        self_c: dict[int, Poly] = {}
+        up_c: dict[int, Poly] = {}
+        transfer: dict[int, dict[int, Poly]] = {}
+        for c in table.below(cls[self.anchor]):
+            kids, down = table.kids[c], {}
+            lcm = poly_lcm_many([up_c[e] for e in kids]) if kids else ONE
+            acc = Poly([-table.beta[c], 1]) * lcm
+            for e in kids:
+                up_e = up_c[e]
+                if lcm == up_e.monic():  # frequent: identical siblings
+                    down[e] = self_c[e] * (Fraction(1) / up_e.leading())
                 else:
-                    transfer = (lcm * self.self_poly[c]).exact_div(up_c)
-                self._entries[(v, c)] = transfer
-                acc = acc - t.lam[c] * transfer
-            self.up_poly[v] = acc * (Fraction(1) / t.lam[v])
-            memo[s] = (self.self_poly[v], self.up_poly[v])
+                    down[e] = (lcm * self_c[e]).exact_div(up_e)
+                acc = acc - table.lam[e] * down[e]
+            self_c[c], transfer[c] = lcm, down
+            up_c[c] = acc * (Fraction(1) / table.lam[c])
+        for v in t._post_order(self.anchor):
+            c = cls[v]
+            self.self_poly[v], self.up_poly[v] = self_c[c], up_c[c]
+            for w in t.children[v]:
+                self._entries[(v, w)] = transfer[c][cls[w]]
 
     def vertices(self):
         return self.self_poly.keys()

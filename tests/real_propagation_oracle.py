@@ -2,10 +2,10 @@
 for `solutions.propagate_real`.
 
 This is the propagation the package ran before it took its side folds
-and fills from the one tree elimination (`TreeTruncation.class_ratios`):
-every side subtree hanging off the path builds its whole family, its
-up-polynomial at r decides whether it folds into the path diagonal, and
-its rows P(y, w)(r) fill it.  The walk is `recurrence_values` over plain
+and fills from the one tree elimination (`ClassTable.ratios` on
+`TreeTruncation.classes`): every side subtree hanging off the path
+builds its whole family, its up-polynomial at r decides whether it folds
+into the path diagonal, and its rows P(y, w)(r) fill it.  The walk is `recurrence_values` over plain
 Fractions.  It shares no tree elimination with the package: only the
 family, the recursion and the exact elimination that confirms an
 obstruction.

@@ -1,9 +1,10 @@
-"""The per-class computations against per-vertex oracles: shape classes
-against structural signatures, class ratios against the polynomial
-family evaluated at z, class-mass growth norms against the norms of the
-solution fields `solve_pair` builds vertex by vertex, and the classes
-`homogeneous_classes` builds without a tree against those of the
-materialized tree.  Every comparison is exact."""
+"""The per-class computations against per-vertex oracles: a truncation's
+classes (`TreeTruncation.classes`) against structural signatures, class
+ratios against the polynomial family evaluated at z, class-mass growth
+norms against the norms of the solution fields `solve_pair` builds
+vertex by vertex, and the classes `homogeneous_classes` builds without a
+tree against those of the materialized tree.  Every comparison is
+exact."""
 
 from fractions import Fraction as F
 
@@ -14,6 +15,7 @@ from conftest import (cut_shape_corpus, exhaustive_corpus, h23, h24,
 from treejacobi.exactmath import GaussianRational as GR
 from treejacobi.exactmath import I
 from treejacobi.solutions import _reduce_path, growth_profile, solve_pair
+from treejacobi.spectra import char_poly, tree_inertia
 from treejacobi.treecore import (default_path, homogeneous_classes,
                                  homogeneous_tree)
 from treejacobi.treepoly import family
@@ -33,27 +35,57 @@ def _signature(tree, v):
 
 
 def test_shape_classes_match_structural_signatures():
+    # the one table of each truncation: equal classes exactly for equal
+    # signatures, child classes below their parent's, dense ids with the
+    # top's last, and each subtree's classes from `ClassTable.below`
     for tree in (_corpus() + exhaustive_corpus(5)
                  + [homogeneous_tree(2, 4), homogeneous_tree(3, 3)]):
-        for root in range(tree.size):
-            order, cls = tree.shape_classes(root)
-            assert sorted(order) == sorted(tree.descendants(root))
-            seen = set()
-            for v in order:
-                assert all(c in seen for c in tree.children[v]), (tree, root)
-                assert cls[v] <= len(set(cls[w] for w in seen)), (tree, root)
-                seen.add(v)
-            sig = {v: _signature(tree, v) for v in order}
-            for v in order:
-                for w in order:
-                    assert (cls[v] == cls[w]) == (sig[v] == sig[w]), \
-                        (tree, v, w)
+        table, cls = tree.classes
+        assert tree.classes is tree.classes
+        assert sorted(set(cls)) == list(range(len(table.kids)))
+        assert cls[tree.top] == len(table.kids) - 1
+        sig = [_signature(tree, v) for v in range(tree.size)]
+        for v in range(tree.size):
+            assert all(cls[c] < cls[v] for c in tree.children[v]), (tree, v)
+            assert table.kids[cls[v]] == tuple(cls[c]
+                                               for c in tree.children[v])
+            assert (table.beta[cls[v]], table.lam[cls[v]]) == (
+                tree.beta[v], tree.lam[v])
+            assert table.below(cls[v]) == sorted(
+                {cls[w] for w in tree.descendants(v)}), (tree, v)
+            for w in range(tree.size):
+                assert (cls[v] == cls[w]) == (sig[v] == sig[w]), (tree, v, w)
+
+
+SIGMAS = (F(-2), F(-1), F(-1, 3), F(0), F(1, 2), F(1), F(5, 7))
+
+
+def test_anchored_quantities_equal_those_of_the_subtree():
+    # an anchor below the top reads its own classes off the whole tree's
+    # table (`ClassTable.below`); the materialized subtree hash-conses
+    # afresh, with other ids
+    checked = 0
+    for tree in random_corpus(7, 40) + cut_shape_corpus(6):
+        for x in range(tree.size):
+            sub = tree.subtree(x)
+            fam, sub_fam = family(tree, x), family(sub)
+            assert ({tree.ids[v]: (fam.self_poly[v], fam.up_poly[v],
+                                   fam.entry(x, v)) for v in fam.vertices()}
+                    == {sub.ids[v]: (sub_fam.self_poly[v], sub_fam.up_poly[v],
+                                     sub_fam.entry(sub.top, v))
+                        for v in sub_fam.vertices()}), (tree, x)
+            assert char_poly(tree, x) == char_poly(sub), (tree, x)
+            for sigma in SIGMAS:
+                assert (tree_inertia(tree, sigma, at=x)
+                        == tree_inertia(sub, sigma)), (tree, x, sigma)
+            checked += 1
+    assert checked > 400
 
 
 def test_homogeneous_tree_has_one_class_per_level():
     tree = homogeneous_tree(3, 6)
-    _, cls = tree.shape_classes(tree.top)
-    assert len(set(cls.values())) == 7
+    table, cls = tree.classes
+    assert len(table.kids) == 7
     assert all(cls[v] == tree.level[v] for v in range(tree.size))
 
 
@@ -80,8 +112,7 @@ def test_class_ratios_at_nonreal_z_are_never_none():
     checked = 0
     for z in ZS + (GR(F(1, 3), F(1, 1000)),):
         for tree in trees:
-            _, _, ratio, _ = tree.class_ratios(tree.top, z)
-            for r in ratio:
+            for r in tree.classes[0].ratios(z):
                 assert r is not None and r.im * z.im < 0, (tree, z)
                 checked += 1
     assert checked > 3000
@@ -180,8 +211,8 @@ def test_generator_classes_are_the_tree_classes(d, rule):
     for n in range(6):
         tree = homogeneous_tree(d, n, lam=tree_lam)
         table, spine = homogeneous_classes(d, n, spine_lam)
-        _, cls = tree.shape_classes(tree.top)
-        assert len(table.kids) == len(set(cls.values())) <= 2 * (n + 1)
+        tree_table, tcls = tree.classes
+        assert len(table.kids) == len(tree_table.kids) <= 2 * (n + 1)
         if d == 1:
             assert len(table.kids) == n + 1
         assert all(c < p for p, kids in enumerate(table.kids) for c in kids)
@@ -190,7 +221,7 @@ def test_generator_classes_are_the_tree_classes(d, rule):
         # every ratio, at nonreal z and at real ones with zero pivots
         for z in CLASS_ZS + (F(0), F(1), F(-2)):
             ratio = table.ratios(z)
-            _, tcls, tratio, _ = tree.class_ratios(tree.top, z)
+            tratio = tree_table.ratios(z)
             assert ([ratio[c] for c in spine]
                     == [tratio[tcls[x]] for x in path]), (d, n, z)
             for w in range(tree.size):

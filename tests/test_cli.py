@@ -10,8 +10,10 @@ import pytest
 import treejacobi
 from treejacobi import spectra
 from treejacobi.cli import build_parser, main
-from treejacobi.reports import REPORT_SCHEMA
-from treejacobi.treecore import TreeTruncation, build_from_spec
+from conftest import h23
+from treejacobi.reports import REPORT_SCHEMA, to_jsonable
+from treejacobi.treecore import ClassTable, TreeTruncation, build_from_spec
+from treejacobi.treepoly import family
 
 STAR = """
 {"vertices": [
@@ -336,6 +338,47 @@ def test_verify_all_builds_one_characteristic_polynomial(capsys, monkeypatch,
         assert report["results"]["spectral_identity"]["ok"]
         assert report["results"]["negative_count_consistency"]["ok"]
     assert len(built) == 2
+
+
+def test_each_op_hash_conses_its_tree_once(capsys, monkeypatch, tmp_path):
+    # every per-class quantity of an op reads the one table its truncation
+    # keeps; a `ClassTable` is made only by a hash-consing pass here
+    passes = []
+    init = ClassTable.__init__
+
+    def counted(self):
+        passes.append(self)
+        init(self)
+
+    monkeypatch.setattr(ClassTable, "__init__", counted)
+    f = tmp_path / "h23.json"
+    f.write_text(h23().to_json())
+    for argv in (["verify-all"], ["spectrum", "--verify"]):
+        passes.clear()
+        code, report = run(capsys, [argv[0], "--tree", str(f), *argv[1:]])
+        assert code == 0 and report["pass"], argv
+        assert len(passes) == 1, argv
+
+
+def test_poly_target_is_the_family_entry(capsys, tmp_path):
+    # the anchor's parent gives its up-polynomial, a deeper vertex the
+    # transfer P(anchor, t)
+    tree = h23()
+    f = tmp_path / "h23.json"
+    f.write_text(tree.to_json())
+    at = tree.children[tree.top][1]
+    fam = family(tree, at)
+    below = tree.children[tree.children[at][0]][1]
+    assert tree.level[at] - tree.level[below] == 2
+    for target in (tree.parent[at], below, at):
+        code, report = run(capsys, ["poly", "--tree", str(f), "--at",
+                                    tree.ids[at], "--target", tree.ids[target]])
+        assert code == 0
+        assert report["results"]["entry"] == {
+            "target": tree.ids[target],
+            "coefficients": to_jsonable(fam.entry(at, target))}
+    assert fam.entry(at, tree.parent[at]) == fam.up_poly[at]
+    assert fam.entry(at, below).degree == fam.self_poly[at].degree - 2
 
 
 def test_parser_is_built_once():

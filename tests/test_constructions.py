@@ -19,8 +19,9 @@ from treejacobi.exactmath import I
 from treejacobi.solutions import propagate_real, uniqueness_dimension
 from treejacobi.spectra import (char_poly, count_negative_eigenvalues,
                                 tree_inertia)
-from treejacobi.treecore import (TreeTruncation, build_from_spec,
-                                 default_path, homogeneous_tree, path_tree)
+from treejacobi.treecore import (ClassTable, TreeTruncation,
+                                 build_from_spec, default_path,
+                                 homogeneous_tree, path_tree)
 from treejacobi.treepoly import family
 from tree_elimination_oracle import certificate_oracle
 
@@ -139,19 +140,20 @@ def test_construct_certificate_rejects_singular_semidefinite():
 
 
 def _count_eliminations(monkeypatch) -> list:
-    """Record every `class_ratios` point and every `tree_inertia` call."""
+    """Record every `ClassTable.ratios` point and every `tree_inertia`
+    call."""
     calls = []
-    class_ratios = TreeTruncation.class_ratios
+    ratios = ClassTable.ratios
 
-    def counted_ratios(self, root, z):
-        calls.append(("class_ratios", z))
-        return class_ratios(self, root, z)
+    def counted_ratios(self, z):
+        calls.append(("ratios", z))
+        return ratios(self, z)
 
     def counted_inertia(*args, **kwargs):
         calls.append(("tree_inertia",))
         return tree_inertia(*args, **kwargs)
 
-    monkeypatch.setattr(TreeTruncation, "class_ratios", counted_ratios)
+    monkeypatch.setattr(ClassTable, "ratios", counted_ratios)
     monkeypatch.setattr(constructions, "tree_inertia", counted_inertia)
     return calls
 
@@ -160,8 +162,7 @@ def test_certificate_makes_one_elimination_at_zero(monkeypatch):
     calls = _count_eliminations(monkeypatch)
     construct_positivity_certificate(homogeneous_tree(2, 3, beta=F(4)),
                                      n_reg=7)
-    assert sorted(calls) == [("class_ratios", F(-1, 7)),
-                             ("class_ratios", F(0))]
+    assert sorted(calls) == [("ratios", F(-1, 7)), ("ratios", F(0))]
 
 
 def test_regularized_masses_approach_exact():

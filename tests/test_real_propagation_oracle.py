@@ -51,7 +51,8 @@ def _side_kinds(tree, r) -> list[str]:
     """Per side subtree off the default path: "root" when its root pivot
     vanishes at r, "twins" or "deep" when a pivot strictly below does
     (with or without two zero-pivot siblings), "ratio" otherwise."""
-    _, cls, ratio, _ = tree.class_ratios(tree.top, r)
+    table, cls = tree.classes
+    ratio = table.ratios(r)
     kinds = []
     for ys in default_path(tree).sides:
         for y in ys:

@@ -188,8 +188,8 @@ def _inertia_case(i):
     """Char poly at the anchor, and every rational eigenvalue of a subtree
     below it, which includes every rational sigma where a pivot vanishes."""
     tree, anchor = INERTIA_CASES[i]
-    order, cls = tree.shape_classes(anchor)
-    reps = {cls[v]: v for v in order}.values()
+    cls = tree.classes[1]
+    reps = {cls[v]: v for v in tree.descendants(anchor)}.values()
     pool = set().union(*(_rational_roots(char_poly(tree, w)) for w in reps))
     return char_poly(tree, anchor), sorted(pool)
 

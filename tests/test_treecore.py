@@ -185,31 +185,32 @@ CARRY_TREE = """
 
 def test_carry_against_hand_computed_field():
     t = build_from_spec(CARRY_TREE)
-    own = {v: v for v in range(t.size)}  # one class per vertex
-    mult = [F(0)] * t.size
-    for name, m in (("a", 2), ("a0", 3), ("a1", -1), ("b", F(1, 2)),
-                    ("b0", 4)):
-        mult[t.index_of(name)] = F(m)
+    table, cls = t.classes
+    # the leaves a0, a1 and b0 share one class, and so one multiplier
+    leaf = cls[t.index_of("a0")]
+    assert cls[t.index_of("a1")] == cls[t.index_of("b0")] == leaf
+    assert len(table.kids) == 4
+    mult = [F(0)] * 4
+    for name, m in (("a", 2), ("a0", -3), ("b", F(1, 2))):
+        mult[cls[t.index_of(name)]] = F(m)
     f = {t.top: F(5)}
-    t.carry(f, [t.index_of("a")], mult, own)
+    t.carry(f, [t.index_of("a")], mult)
     assert [(t.ids[v], x) for v, x in f.items()] == \
-        [("x", 5), ("a", 10), ("a0", 30), ("a1", -10)]
-    t.carry(f, [t.index_of("b")], mult, own)
-    assert f[t.index_of("b")] == F(5, 2) and f[t.index_of("b0")] == 10
-    # by shape classes, a0, a1 and b0 share one multiplier
-    _, cls = t.shape_classes(t.top)
+        [("x", 5), ("a", 10), ("a0", -30), ("a1", -30)]
+    t.carry(f, [t.index_of("b")], mult)
+    assert f[t.index_of("b")] == F(5, 2) and f[t.index_of("b0")] == F(-15, 2)
+    # the top's class multiplier is never read: f holds the top already
+    mult[cls[t.top]] = None
     g = {t.top: F(1)}
-    t.carry(g, t.children[t.top], [F(k + 2) for k in range(4)], cls)
-    leaf = F(cls[t.index_of("a0")] + 2)
-    assert g[t.index_of("a1")] == g[t.index_of("a")] * leaf
-    assert g[t.index_of("b0")] == g[t.index_of("b")] * leaf
+    t.carry(g, t.children[t.top], mult)
+    assert [g[t.index_of(n)] for n in ("a", "a0", "a1", "b", "b0")] == \
+        [2, -6, -6, F(1, 2), F(-3, 2)]
 
 
 def test_carry_of_class_ratios_solves_the_eigen_equation():
     for tree in [h23(), h24()] + random_corpus(5, 20) + cut_shape_corpus(5):
-        _, cls, ratio, _ = tree.class_ratios(tree.top, I)
         f = {tree.top: I}
-        tree.carry(f, tree.children[tree.top], ratio, cls)
+        tree.carry(f, tree.children[tree.top], tree.classes[0].ratios(I))
         assert sorted(f) == list(range(tree.size))
         for v in tree.interior():
             acc = I * f[v] - tree.beta[v] * f[v] - tree.lam[v] * f[tree.parent[v]]

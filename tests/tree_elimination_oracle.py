@@ -1,8 +1,9 @@
 """Slow, independent references for the tree elimination.
 
 The package folds every subtree onto its parent by one pivot per class of
-identical subtrees (`TreeTruncation.class_ratios`).  The references here
-eliminate vertex by vertex instead, with their own bookkeeping:
+identical subtrees (`ClassTable.ratios` on `TreeTruncation.classes`).
+The references here eliminate vertex by vertex instead, with their own
+bookkeeping:
 
 * `truncated_operator`: the dense symmetric matrix of a truncation;
 * `tree_solve`: leaves-to-root elimination of a tree-patterned system
