@@ -42,7 +42,7 @@ def to_jsonable(x):
     if isinstance(x, RootSet):
         return x.as_strings()
     if is_dataclass(x) and not isinstance(x, type):
-        return to_jsonable(_field_dict(x))
+        return {f.name: to_jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
@@ -50,19 +50,6 @@ def to_jsonable(x):
     if isinstance(x, (bool, int, str)) or x is None:
         return x
     raise TypeError(f"cannot serialize {type(x).__name__} into a report")
-
-
-def _field_dict(x):
-    """What `dataclasses.asdict` makes of x, without its deep copy of
-    every field: a dataclass becomes the dict of its fields, also where it
-    is nested in a field, a list, a tuple or a dict."""
-    if is_dataclass(x) and not isinstance(x, type):
-        return {f.name: _field_dict(getattr(x, f.name)) for f in fields(x)}
-    if isinstance(x, dict):
-        return {k: _field_dict(v) for k, v in x.items()}
-    if isinstance(x, (list, tuple)):
-        return [_field_dict(v) for v in x]
-    return x
 
 
 def digest(obj) -> str:

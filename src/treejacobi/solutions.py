@@ -91,39 +91,32 @@ class SolutionPair:
 
 @dataclass
 class _PathReduction:
-    """z and a path, with every subtree reduced once per class of
-    identical subtrees (`TreeTruncation.classes`).
+    """z and a path x_0, x_1, ... of classes, with every subtree reduced
+    once per class of identical subtrees (`_reduce_path`).
 
     `ratio[c]` is f(w)/f(parent of w) for the solution f below any vertex
-    w of class c (`cls[w]`), or None where the Schur pivot of w is zero
-    (real z only).  `diag[k]` is beta at x_k plus the side reduction of
-    its subtrees off the path (`PathSelection.sides`) whose ratio is not
-    None."""
+    w of class c, or None where the Schur pivot of w is zero (real z
+    only).  `sides[k]` holds the classes of the subtrees hanging off the
+    path at x_k, and `diag[k]` is beta at x_k plus the side reduction of
+    those whose ratio is not None."""
 
     z: GaussianRational
-    cls: list[int]
     ratio: list
-    reductions: tuple[SideReduction, ...]
+    sides: list[list[int]]
     diag: list
     lam: list[Fraction]
 
     def v_path(self) -> list:
         """v along the path: v(x_0) = 1 and the eigen-equation at x_0."""
-        return _v_path(self.z, self.lam, self.diag)
+        return recurrence_values(
+            self.lam.__getitem__, self.diag.__getitem__, self.z, _ONE,
+            (self.z - self.diag[0]) / self.lam[0], len(self.lam) - 1)
 
     def u_path(self) -> list:
         """u along the path: u(x_0) = 0, u(x_1) = 1/lambda_{x_0}."""
         return recurrence_values(
             self.lam.__getitem__, self.diag.__getitem__, self.z, _ZERO,
             GaussianRational.of(Fraction(1) / self.lam[0]), len(self.lam) - 1)
-
-
-def _v_path(z, lam: list, diag: list) -> list:
-    """The path values of the solution with v(x_0) = 1 and the
-    eigen-equation at x_0, for the weights `lam` and the reduced
-    diagonal `diag` along the path."""
-    return recurrence_values(lam.__getitem__, diag.__getitem__, z, _ONE,
-                             (z - diag[0]) / lam[0], len(lam) - 1)
 
 
 def _nonreal(z) -> GaussianRational:
@@ -133,29 +126,26 @@ def _nonreal(z) -> GaussianRational:
     return z
 
 
-def _reduce_path(tree: TreeTruncation, path: PathSelection,
-                 z) -> _PathReduction:
-    """Class ratios by the tree continued fraction (`ClassTable.ratios`
-    on `TreeTruncation.classes`), which is self_poly[c](z) /
-    up_poly[c](z) with the family recursion divided through by
-    self_poly[c](z); then the side reductions.  At nonreal z no ratio is
-    None: by induction from the leaves, every pivot has an imaginary part
-    at least |Im z| in size."""
+def _reduce_path(table: ClassTable, spine: Sequence[int], z) -> _PathReduction:
+    """Class ratios by the tree continued fraction (`ClassTable.ratios`),
+    which is self_poly[c](z) / up_poly[c](z) with the family recursion
+    divided through by self_poly[c](z); then the fold of the sides onto
+    the path whose vertices x_0, x_1, ... have the classes `spine`.  The
+    sides of x_k are its kids with one x_{k-1} taken out.  At nonreal z
+    no ratio is None: by induction from the leaves, every pivot has an
+    imaginary part at least |Im z| in size."""
     z = GaussianRational.of(z)
-    if tree.level[path[0]] != 0:
-        raise ValidationError("path must start at a level-0 vertex")
-    if not path.reaches_top():
-        raise ValidationError("path must reach the top of the truncation")
-    table, cls = tree.classes
     ratio = table.ratios(z)
-    side = [sum((tree.lam[y] * ratio[cls[y]] for y in ys
-                 if ratio[cls[y]] is not None), _ZERO)
-            for ys in path.sides]
-    reductions = tuple(SideReduction(tree.ids[x], s)
-                       for x, s in zip(path.vertices[1:], side[1:]))
-    return _PathReduction(z, cls, ratio, reductions,
-                          [tree.beta[x] + s for x, s in zip(path.vertices, side)],
-                          [tree.lam[w] for w in path.vertices])
+    sides, diag, below = [], [], None
+    for x in spine:
+        ys = list(table.kids[x])
+        if below is not None:
+            ys.remove(below)
+        below = x
+        sides.append(ys)
+        diag.append(table.beta[x] + sum((table.lam[y] * ratio[y] for y in ys
+                                         if ratio[y] is not None), _ZERO))
+    return _PathReduction(z, ratio, sides, diag, [table.lam[x] for x in spine])
 
 
 def solve_pair(tree: TreeTruncation, path: PathSelection,
@@ -165,7 +155,13 @@ def solve_pair(tree: TreeTruncation, path: PathSelection,
     nonreal z.  Both satisfy the eigen-equation at every interior vertex;
     u skips x_0 by construction.  The path must start on level 0 and end
     at the top of the truncation."""
-    red = _reduce_path(tree, path, _nonreal(z))
+    z = _nonreal(z)
+    if tree.level[path[0]] != 0:
+        raise ValidationError("path must start at a level-0 vertex")
+    if not path.reaches_top():
+        raise ValidationError("path must reach the top of the truncation")
+    table, cls = tree.classes
+    red = _reduce_path(table, [cls[x] for x in path.vertices], z)
     vv: dict[int, GaussianRational] = {}
     uu: dict[int, GaussianRational] = {}
     for xk, fv, fu, ys in zip(path.vertices, red.v_path(), red.u_path(),
@@ -176,7 +172,9 @@ def solve_pair(tree: TreeTruncation, path: PathSelection,
     interior = frozenset(tree.interior())
     v_field = SolutionField(tree, red.z, vv, interior, path)
     u_field = SolutionField(tree, red.z, uu, interior - {path[0]}, path)
-    return SolutionPair(v_field, u_field, path, red.reductions)
+    side = tuple(SideReduction(tree.ids[x], d - tree.beta[x])
+                 for x, d in zip(path.vertices[1:], red.diag[1:]))
+    return SolutionPair(v_field, u_field, path, side)
 
 
 def wronskian(v: SolutionField, u: SolutionField, n: int) -> GaussianRational:
@@ -360,12 +358,13 @@ def propagate_real(tree: TreeTruncation, r: Fraction) -> PropagationResult:
     proof, not a heuristic."""
     r = Fraction(r)
     path = default_path(tree)
-    red = _reduce_path(tree, path, r)
-    ratio, cls = red.ratio, red.cls
+    table, cls = tree.classes
+    red = _reduce_path(table, [cls[x] for x in path.vertices], r)
+    ratio = red.ratio
     # per class: a zero pivot strictly below, where the ratio product
-    # meets 0 * None and only the family rows P(y, w)(r) give the field
+    # meets 0 * None and only the family column P(y, .)(r) gives the field
     deep: list[bool] = []
-    for kids in tree.classes[0].kids:
+    for kids in table.kids:
         deep.append(any(ratio[e] is None or deep[e] for e in kids))
     f: dict[int, GaussianRational] = {}
     free: list[str] = []
@@ -382,8 +381,8 @@ def propagate_real(tree: TreeTruncation, r: Fraction) -> PropagationResult:
             elif deep[cls[y]]:
                 fam = family(tree, y)
                 scale = fk / fam.up_poly[y](r)
-                for w in tree.descendants(y):
-                    f[w] = scale * fam.entry(y, w)(r)
+                for w, p in fam.column(y).items():
+                    f[w] = scale * p(r)
             else:
                 tree.carry(f, (y,), ratio)
         if blocked is not None:
@@ -487,24 +486,13 @@ def growth_profile(tree: TreeTruncation | tuple[ClassTable, list[int]],
         spine = [cls[x] for x in default_path(tree).vertices]
     else:
         table, spine = tree
-    z = _nonreal(z)
-    ratio = table.ratios(z)
+    red = _reduce_path(table, spine, _nonreal(z))
     mass: list[Fraction] = []
     count: list[int] = []
-    for r, kids in zip(ratio, table.kids):
+    for r, kids in zip(red.ratio, table.kids):
         mass.append(r.abs2() * (1 + sum(mass[c] for c in kids)))
         count.append(1 + sum(count[c] for c in kids))
-    diag, sizes, side_mass = [], [], []
-    below = None
-    for x in spine:
-        sides = list(table.kids[x])
-        if below is not None:
-            sides.remove(below)
-        below = x
-        diag.append(table.beta[x] + sum((table.lam[y] * ratio[y]
-                                         for y in sides), _ZERO))
-        sizes.append(1 + sum(count[y] for y in sides))
-        side_mass.append(1 + sum(mass[y] for y in sides))
-    lam = [table.lam[x] for x in spine]
-    norms = [v.abs2() * m for v, m in zip(_v_path(z, lam, diag), side_mass)]
-    return nested_profile(lam, depths, sizes, norms)
+    sizes = [1 + sum(count[y] for y in ys) for ys in red.sides]
+    norms = [v.abs2() * (1 + sum(mass[y] for y in ys))
+             for v, ys in zip(red.v_path(), red.sides)]
+    return nested_profile(red.lam, depths, sizes, norms)

@@ -22,9 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import ONE, Poly, RootSet, isolate_real_roots, poly_gcd
+from .exactmath import ONE, Poly, RootSet, X, isolate_real_roots, poly_gcd
 from .treecore import TreeTruncation
-from .treepoly import PolyFamily, family
+from .treepoly import PolyFamily
 
 
 def char_poly(tree: TreeTruncation, at: int | None = None) -> Poly:
@@ -82,12 +82,19 @@ class SpectralDescription:
         return _factor_product(self.top_factor, (s.factor for s in self.shared))
 
 
-def _shared_factor(fam: PolyFamily, v: int) -> Poly:
-    """prod_c monic(up_poly[c]) / self_poly[v]; trivial when nothing is shared."""
-    prod = ONE
-    for c in fam.tree.children[v]:
-        prod = prod * fam.up_poly[c].monic()
-    return prod.exact_div(fam.self_poly[v])
+def _shared_factors(fam: PolyFamily):
+    """(v, prod_c monic(up_poly[c]) / self_poly[v]) for every internal
+    vertex v in index order whose factor is not trivial (1, when its
+    children share no root).  Every factor is divided exactly."""
+    t = fam.tree
+    for v in sorted(fam.vertices()):
+        if t.children[v]:
+            prod = ONE
+            for c in t.children[v]:
+                prod = prod * fam.up_poly[c].monic()
+            f = prod.exact_div(fam.self_poly[v])
+            if f.degree >= 1:
+                yield v, f
 
 
 def spectral_description(fam: PolyFamily, width=None) -> SpectralDescription:
@@ -95,19 +102,13 @@ def spectral_description(fam: PolyFamily, width=None) -> SpectralDescription:
     the anchor's up-polynomial (all simple), plus, per internal vertex, the
     roots its children share; a root covered n times by the children's
     polynomials contributes n - 1 extra eigenvalues."""
-    t = fam.tree
-    shared = []
-    for v in sorted(fam.vertices()):
-        if not t.children[v]:
-            continue
-        f = _shared_factor(fam, v)
-        if f.degree >= 1:
-            shared.append(SharedRootFactor(
-                t.ids[v], f, isolate_real_roots(f, width)))
+    shared = tuple(SharedRootFactor(fam.tree.ids[v], f,
+                                    isolate_real_roots(f, width))
+                   for v, f in _shared_factors(fam))
     top = fam.up_poly[fam.anchor]
     return SpectralDescription(
         top_factor=top, top_roots=isolate_real_roots(top, width),
-        shared=tuple(shared))
+        shared=shared)
 
 
 def verify_spectral_identity(fam: PolyFamily, char: Poly) -> bool:
@@ -116,10 +117,8 @@ def verify_spectral_identity(fam: PolyFamily, char: Poly) -> bool:
     equals the monic up-polynomial at the anchor times all shared-root
     factors.  DivisionError from the factor assembly would falsify the
     identity; plain inequality returns False."""
-    t = fam.tree
     rhs = _factor_product(fam.up_poly[fam.anchor],
-                          (_shared_factor(fam, v) for v in fam.vertices()
-                           if t.children[v]))
+                          (f for _, f in _shared_factors(fam)))
     return char.monic() == rhs
 
 
@@ -151,30 +150,28 @@ class Inertia:
     above: int
 
 
-def tree_inertia(tree: TreeTruncation, sigma: Fraction,
-                 at: int | None = None) -> Inertia:
-    """Inertia of (J_x - sigma I) by Sylvester's law: `below`/`at`/`above`
+def tree_inertia(tree: TreeTruncation, sigma: Fraction) -> Inertia:
+    """Inertia of (J - sigma I) by Sylvester's law: `below`/`at`/`above`
     are the numbers of eigenvalues of the truncation below, at and above
-    sigma, exact and with multiplicity.
+    sigma, exact and with multiplicity.  The count for the truncation
+    below a vertex x is `tree_inertia(tree.subtree(x), sigma)`.
 
     The ratio r(v) of v's class (`ClassTable.ratios` of
     `TreeTruncation.classes`) at sigma has the sign of the pivot of
     sigma - J, so r(v) > 0 counts below and r(v) < 0 above.  A zero pivot
-    (r = None) below the anchor pairs with its parent, whose pivot turns
+    (r = None) below the top pairs with its parent, whose pivot turns
     infinite (r = 0): the 2x2 block has one eigenvalue each side of
     sigma, and each further zero-pivot child of the same parent is
-    decoupled and counts at sigma.  A zero pivot at the anchor counts at
+    decoupled and counts at sigma.  A zero pivot at the top counts at
     sigma.
     """
-    anchor = tree.top if at is None else at
     table, cls = tree.classes
     ratio = table.ratios(Fraction(sigma))
     below = zero = above = 0
-    for v in (range(tree.size) if anchor == tree.top
-              else tree.descendants(anchor)):
+    for v in range(tree.size):
         r = ratio[cls[v]]
         if r is None:
-            zero += v == anchor
+            zero += v == tree.top
         elif r == 0:
             below += 1
             above += 1
@@ -232,29 +229,18 @@ def eigenvector_witness_report(fam: PolyFamily) -> list[WitnessCheck]:
 
 
 def _witness_holds(fam: PolyFamily, v: int, c1: int, c2: int, g: Poly) -> bool:
+    """The residual of u mod g at v and on the support of u, the two
+    family columns (`PolyFamily.column`); every other vertex of the
+    subtree neither carries u nor neighbours a vertex that does."""
     t = fam.tree
-    u: dict[int, Poly] = {}
     s1 = t.lam[c2] * fam.self_poly[c2]
     s2 = t.lam[c1] * fam.self_poly[c1]
-    for w in t.descendants(c1):
-        u[w] = s1 * fam.entry(c1, w)
-    for w in t.descendants(c2):
-        u[w] = -1 * (s2 * fam.entry(c2, w))
-    # the residual vanishes identically away from the support's neighborhood
-    relevant = set(u)
-    for w in list(relevant):
-        if t.parent[w] is not None:
-            relevant.add(t.parent[w])
-        relevant.update(t.children[w])
-    anchor_set = set(t.descendants(fam.anchor))
+    u = {w: s1 * p for w, p in fam.column(c1).items()}
+    u.update((w, -(s2 * p)) for w, p in fam.column(c2).items())
     zero = Poly()
-    zpoly = Poly([0, 1])
-    for w in relevant & anchor_set:
+    for w in (v, *u):
         uw = u.get(w, zero)
-        acc = zpoly * uw - t.beta[w] * uw
-        p = t.parent[w]
-        if p is not None and w != fam.anchor:
-            acc = acc - t.lam[w] * u.get(p, zero)
+        acc = X * uw - t.beta[w] * uw - t.lam[w] * u.get(t.parent[w], zero)
         for c in t.children[w]:
             acc = acc - t.lam[c] * u.get(c, zero)
         if not (acc % g).is_zero:

@@ -115,18 +115,9 @@ class TreeTruncation:
             table = ClassTable()
             beta, lam, children = self.beta, self.lam, self.children
             cls = [0] * self.size
-            # generators share coefficient objects; keying on their
-            # identity first spares most Fraction hashes, and equal values
-            # still meet in the table
-            by_id: dict[tuple, int] = {}
             for v in self._post_order(self.top):
-                b, l = beta[v], lam[v]
-                kids = tuple([cls[c] for c in children[v]])
-                quick = (id(b), id(l), kids)
-                c = by_id.get(quick)
-                if c is None:
-                    c = by_id[quick] = table.add(b, l, kids)
-                cls[v] = c
+                cls[v] = table.add(beta[v], lam[v],
+                                   tuple([cls[c] for c in children[v]]))
             self._classes = table, cls
         return self._classes
 

@@ -36,7 +36,7 @@ from .treecore import TreeTruncation
 class PolyFamily:
     """All family polynomials over the subtree below a chosen vertex."""
 
-    __slots__ = ("tree", "anchor", "self_poly", "up_poly", "_entries")
+    __slots__ = ("tree", "anchor", "self_poly", "up_poly")
 
     def __init__(self, tree: TreeTruncation, anchor: int | None = None):
         self.tree = tree
@@ -45,60 +45,59 @@ class PolyFamily:
             raise UnknownVertexError(f"unknown vertex index {self.anchor}")
         self.self_poly: dict[int, Poly] = {}
         self.up_poly: dict[int, Poly] = {}
-        self._entries: dict[tuple[int, int], Poly] = {}
         self._build()
 
     def _build(self):
         t = self.tree
         table, cls = t.classes
         # one polynomial computation per class of identical subtrees, so
-        # homogeneous regions cost one per distinct shape; P(v, c) for a
-        # child c depends on the classes of v and c only
+        # homogeneous regions cost one per distinct shape
         self_c: dict[int, Poly] = {}
         up_c: dict[int, Poly] = {}
-        transfer: dict[int, dict[int, Poly]] = {}
         for c in table.below(cls[self.anchor]):
-            kids, down = table.kids[c], {}
+            kids = table.kids[c]
             lcm = poly_lcm_many([up_c[e] for e in kids]) if kids else ONE
             acc = Poly([-table.beta[c], 1]) * lcm
             for e in kids:
                 up_e = up_c[e]
                 if lcm == up_e.monic():  # frequent: identical siblings
-                    down[e] = self_c[e] * (Fraction(1) / up_e.leading())
+                    down = self_c[e] * (Fraction(1) / up_e.leading())
                 else:
-                    down[e] = (lcm * self_c[e]).exact_div(up_e)
-                acc = acc - table.lam[e] * down[e]
-            self_c[c], transfer[c] = lcm, down
+                    down = (lcm * self_c[e]).exact_div(up_e)
+                acc = acc - table.lam[e] * down  # lambda_e * P(c, e)
+            self_c[c] = lcm
             up_c[c] = acc * (Fraction(1) / table.lam[c])
         for v in t._post_order(self.anchor):
-            c = cls[v]
-            self.self_poly[v], self.up_poly[v] = self_c[c], up_c[c]
-            for w in t.children[v]:
-                self._entries[(v, w)] = transfer[c][cls[w]]
+            self.self_poly[v], self.up_poly[v] = self_c[cls[v]], up_c[cls[v]]
 
     def vertices(self):
         return self.self_poly.keys()
+
+    def column(self, v: int) -> dict[int, Poly]:
+        """P(v, t) for every t in the closed subtree below v, parents
+        first: P(v, v) = self_poly[v], and below v the transfer through
+        the children unrolls to
+
+            P(v, w) = P(v, parent w) * self_poly[w] / up_poly[w].
+
+        The family's analogue of `TreeTruncation.carry`."""
+        t = self.tree
+        col = {v: self.self_poly[v]}
+        for w in t.descendants(v)[1:]:
+            col[w] = ((col[t.parent[w]] * self.self_poly[w])
+                      .exact_div(self.up_poly[w]))
+        return col
 
     def entry(self, v: int, t: int | None) -> Poly:
         """P(v, t) for t in the closed subtree below v, or t = None for the
         value one level above v."""
         if t is None or t == self.tree.parent[v]:
             return self.up_poly[v]
-        if t == v:
-            return self.self_poly[v]
-        key = (v, t)
-        if key in self._entries:
-            return self._entries[key]
-        # find the child of v whose subtree holds t
-        w = t
-        while w is not None and self.tree.parent[w] != v:
-            w = self.tree.parent[w]
-        if w is None:
+        col = self.column(v)
+        if t not in col:
             raise UnknownVertexError(
                 f"{self.tree.ids[t]} is not below {self.tree.ids[v]}")
-        p = (self.self_poly[v] * self.entry(w, t)).exact_div(self.up_poly[w])
-        self._entries[key] = p
-        return p
+        return col[t]
 
 
 def family(tree: TreeTruncation, at: int | None = None) -> PolyFamily:
@@ -158,7 +157,7 @@ def divisibility_report(fam: PolyFamily) -> FamilyReport:
     """Exact-division check P(c, t) | P(v, t) for every child c of every v
     and every t in the closed subtree below c or t = v.
 
-    One division per edge decides it: `entry` defines
+    One division per edge decides it: the family defines
     P(v, t) = self_poly[v] * P(c, t) / up_poly[c] for every t in the
     closed subtree below c, so the quotient P(v, t) / P(c, t) is
     self_poly[v] / up_poly[c] whatever t is, and at t = v the pair is

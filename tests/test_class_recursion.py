@@ -14,8 +14,8 @@ from conftest import (cut_shape_corpus, exhaustive_corpus, h23, h24,
                       random_corpus)
 from treejacobi.exactmath import GaussianRational as GR
 from treejacobi.exactmath import I
-from treejacobi.solutions import _reduce_path, growth_profile, solve_pair
-from treejacobi.spectra import char_poly, tree_inertia
+from treejacobi.solutions import growth_profile, solve_pair
+from treejacobi.spectra import char_poly
 from treejacobi.treecore import (default_path, homogeneous_classes,
                                  homogeneous_tree)
 from treejacobi.treepoly import family
@@ -57,9 +57,6 @@ def test_shape_classes_match_structural_signatures():
                 assert (cls[v] == cls[w]) == (sig[v] == sig[w]), (tree, v, w)
 
 
-SIGMAS = (F(-2), F(-1), F(-1, 3), F(0), F(1, 2), F(1), F(5, 7))
-
-
 def test_anchored_quantities_equal_those_of_the_subtree():
     # an anchor below the top reads its own classes off the whole tree's
     # table (`ClassTable.below`); the materialized subtree hash-conses
@@ -69,15 +66,11 @@ def test_anchored_quantities_equal_those_of_the_subtree():
         for x in range(tree.size):
             sub = tree.subtree(x)
             fam, sub_fam = family(tree, x), family(sub)
-            assert ({tree.ids[v]: (fam.self_poly[v], fam.up_poly[v],
-                                   fam.entry(x, v)) for v in fam.vertices()}
-                    == {sub.ids[v]: (sub_fam.self_poly[v], sub_fam.up_poly[v],
-                                     sub_fam.entry(sub.top, v))
-                        for v in sub_fam.vertices()}), (tree, x)
+            assert ({tree.ids[v]: (fam.self_poly[v], fam.up_poly[v], p)
+                     for v, p in fam.column(x).items()}
+                    == {sub.ids[v]: (sub_fam.self_poly[v], sub_fam.up_poly[v], p)
+                        for v, p in sub_fam.column(sub.top).items()}), (tree, x)
             assert char_poly(tree, x) == char_poly(sub), (tree, x)
-            for sigma in SIGMAS:
-                assert (tree_inertia(tree, sigma, at=x)
-                        == tree_inertia(sub, sigma)), (tree, x, sigma)
             checked += 1
     assert checked > 400
 
@@ -94,11 +87,12 @@ def test_class_ratio_is_the_family_quotient():
     for tree in _corpus():
         fam = family(tree)
         for z in ZS:
-            red = _reduce_path(tree, default_path(tree), z)
+            table, cls = tree.classes
+            ratio = table.ratios(z)
             for w in range(tree.size):
                 expected = (GR.of(fam.self_poly[w](z))
                             / GR.of(fam.up_poly[w](z)))
-                assert red.ratio[red.cls[w]] == expected, (tree, z, w)
+                assert ratio[cls[w]] == expected, (tree, z, w)
                 checked += 1
     assert checked > 2000
 

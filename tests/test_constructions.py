@@ -319,7 +319,7 @@ def test_obstruction_depths():
         for k in range(depth):
             y = res.tree.index_of(f"y{k}")
             for c in res.tree.children[y]:
-                inertia = tree_inertia(res.tree, F(0), at=c)
+                inertia = tree_inertia(res.tree.subtree(c), F(0))
                 assert inertia.below == 0 and inertia.at == 0
 
 

@@ -83,6 +83,17 @@ PINNED = [
      "54cbccf8cff5374ef7d087ca16adc37d3510b2fd2d6745f4b41909d072b64bbe"),
     (("spectrum", "--tree", "h23.json", "--width=1/3", "--verify"), 0,
      "d25b0d09b06bfa90d24e66d603c93e3e9bab2b1ffe6c04c3b0d61e7a5fedb3de"),
+    # family columns: sibling witnesses on the ternary unit tree (39 of
+    # them), a spectrum below the top, and P(x, t) at x's parent and at a
+    # grandchild of x
+    (("verify-all", "--tree", "unit33.json"), 0,
+     "95ef14335065fc7fdd4651a40c8de4ff6415ab98096371cec94d1000d3bc9fc8"),
+    (("spectrum", "--tree", "unit23.json", "--at", "r.1", "--verify"), 0,
+     "a7bb3a622de6df2d770a90dae43cd20ba262d72287b3dbcac6cddfd930535b93"),
+    (("poly", "--tree", "h23.json", "--at", "r.0", "--target", "r"), 0,
+     "c8fbf066814a1178b16ff7a719c99b4229d0d1e53f4d986ea1122b3e9561a35a"),
+    (("poly", "--tree", "h23.json", "--at", "r.0", "--target", "r.0.1.0"), 0,
+     "09efa74ea7670059d70c70399b94078a7487f4407232b4098b30b2ced95f219e"),
 ]
 
 

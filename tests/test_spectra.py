@@ -204,7 +204,7 @@ def test_tree_inertia_property(data):
     if pool:
         sigmas = st.sampled_from(pool) | sigmas
     sigma = data.draw(sigmas)
-    inertia = tree_inertia(tree, sigma, at=anchor)
+    inertia = tree_inertia(tree.subtree(anchor), sigma)
     assert inertia == pivot_inertia(tree, sigma, at=anchor)
     assert (inertia.below, inertia.at) == _sturm_counts(p, sigma)
     assert inertia.below + inertia.at + inertia.above == p.degree
