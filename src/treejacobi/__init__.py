@@ -5,10 +5,11 @@ Sturm chains, root isolation), `treecore` (truncations and generators),
 `treepoly` (the recursive polynomial family), `spectra` (truncated
 operators and their spectra), `solutions` (eigen-solution fields),
 `classical1d` (path-matrix helpers), `constructions` (explicit matrix
-constructions and positivity certificates), `cli`.
+constructions and positivity certificates), `reports` (the one
+renderer), `cli`.
 """
 
-from .exactmath import (GaussianRational, I, Poly, RootInterval, RootSet,
+from .exactmath import (GaussianRational, I, Poly, RootInterval,
                         format_rational, isolate_real_roots, parse_gaussian,
                         parse_rational, poly_gcd, poly_lcm, strict_interlace)
 from .treecore import (PathSelection, TreeTruncation, build_from_spec,

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import random
 import sys
 from fractions import Fraction
@@ -105,9 +106,7 @@ def _cmd_spectrum(args, argv) -> int:
         "anchor": tree.ids[at],
         "top_factor": desc.top_factor,
         "top_roots": desc.top_roots,
-        "shared_factors": [
-            {"vertex": s.vertex, "factor": s.factor, "roots": s.roots}
-            for s in desc.shared],
+        "shared_factors": desc.shared,
         "char_poly": char,
     }
     failures = []
@@ -149,13 +148,12 @@ def _cmd_solve(args, argv) -> int:
             "z": z, "mode": "nonreal", "path": path.ids,
             "v": {tree.ids[v]: w for v, w in pair.v.values.items()},
             "u": {tree.ids[v]: w for v, w in pair.u.values.items()},
-            "side_reductions": [
-                {"vertex": s.vertex, "value": s.value} for s in pair.side],
+            "side_reductions": pair.side,
             "residuals_zero": ok,
         }
         if not ok:
             failures.append("eigen-equation residual nonzero")
-    return _finish(argv, {"tree": tree.to_spec(), "z": str(z)}, results, failures)
+    return _finish(argv, {"tree": tree.to_spec(), "z": z}, results, failures)
 
 
 def _cmd_wronskian(args, argv) -> int:
@@ -172,7 +170,7 @@ def _cmd_wronskian(args, argv) -> int:
                      "expected": expected, "ok": value == expected})
         if value != expected:
             failures.append(f"wronskian at step {n} is not 1/lambda")
-    return _finish(argv, {"tree": tree.to_spec(), "z": str(z)},
+    return _finish(argv, {"tree": tree.to_spec(), "z": z},
                    {"path": path.ids, "steps": rows}, failures)
 
 
@@ -211,7 +209,7 @@ def _cmd_growth(args, argv) -> int:
         "note": profile.indicator,
     }
     return _finish(argv, {"generator": args.generator, "depths": depths,
-                          "z": str(z)}, results, [])
+                          "z": z}, results, [])
 
 
 def _cmd_classical(args, argv) -> int:
@@ -240,14 +238,10 @@ def _cmd_classical(args, argv) -> int:
         raise ValueError(f"unknown rule {args.rule!r}")
     if args.report == "pq0":
         p, q = classical1d.pq_values(fam, Fraction(0), args.depth)
-        sums = []
-        acc = Fraction(0)
-        for n in range(args.depth + 1):
-            acc += p[n] * p[n] + q[n] * q[n]
-            sums.append(acc)
         results["p0"] = p
         results["q0"] = q
-        results["square_sums"] = sums
+        results["square_sums"] = list(itertools.accumulate(
+            a * a + b * b for a, b in zip(p, q)))
     return _finish(argv, {"rule": args.rule, "q": args.q, "a": args.a,
                           "depth": args.depth}, results, failures)
 
@@ -423,7 +417,7 @@ def _cmd_verify_all(args, argv) -> int:
                for name, ok, detail in outcomes}
     failures = [name for name, ok, _ in outcomes if not ok]
     return _finish(argv, {"tree": tree.to_spec(), "seed": args.seed,
-                          "z": str(z)}, results, failures)
+                          "z": z}, results, failures)
 
 
 # ---------------------------------------------------------------------

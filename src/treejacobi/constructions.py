@@ -29,9 +29,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .classical1d import classical, pq_square_sum, recurrence_values
+from .classical1d import classical, pq_values, recurrence_values
 from .errors import ConstructionError, PositivityError
-from .exactmath import GaussianRational, I, format_rational
+from .exactmath import GaussianRational, I
 from .solutions import (GrowthProfile, PropagationResult, SolutionField,
                         SolutionPair, nested_profile, propagate_real,
                         solve_pair, uniqueness_dimension)
@@ -49,9 +49,6 @@ class PositivityCertificate:
     tree: TreeTruncation
     m: dict[int, Fraction]
     mode: str  # "inequality" | "equality"
-
-    def as_strings(self) -> dict[str, str]:
-        return {self.tree.ids[v]: format_rational(x) for v, x in self.m.items()}
 
 
 @dataclass
@@ -136,7 +133,7 @@ def construct_positivity_certificate(tree: TreeTruncation,
     path = default_path(tree)
     table, cls = tree.classes
     ratio = table.ratios(Fraction(0))
-    bad = next((v for v in tree._post_order(tree.top)
+    bad = next((v for v in reversed(tree.descendants(tree.top))
                 if ratio[cls[v]] is None or ratio[cls[v]] >= 0), None)
     if bad is not None:
         raise PositivityError(
@@ -467,8 +464,7 @@ def build_pendant_path(depth: int, rule: str = "ramp",
         beta_rule, mu_rule = constant_pendant_rule(Fraction(a))
     else:
         raise ValueError(f"unknown pendant rule {rule!r}")
-    tree = decorated_path_tree(depth, path_beta=Fraction(0),
-                               side_lam=mu_rule, side_beta=beta_rule)
+    tree = decorated_path_tree(depth, side_lam=mu_rule, side_beta=beta_rule)
     path = default_path(tree)
     pair = solve_pair(tree, path, I)
     v = pair.v.values
@@ -611,6 +607,7 @@ def small_norm_profile(depths) -> GrowthProfile:
 def path_weight_square_sum_window() -> Fraction:
     """Increase of the partial sums of p_n(0)^2 + q_n(0)^2 from index 20
     to index 30 for the diagonal-free classical matrix with the weights
-    `default_path_weight` (exact)."""
+    `default_path_weight` (exact): the terms at indices 21..30."""
     j = classical(default_path_weight, Fraction(0), 31)
-    return pq_square_sum(j, Fraction(0), 30) - pq_square_sum(j, Fraction(0), 20)
+    p, q = pq_values(j, Fraction(0), 30)
+    return sum((a * a + b * b for a, b in zip(p[21:], q[21:])), Fraction(0))

@@ -495,17 +495,15 @@ def _primitive(p: Poly) -> Poly:
 
 
 def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """Monic greatest common divisor: Euclid on `%`, each remainder
-    replaced by its primitive part (scalars never matter for the gcd)."""
+    """Monic greatest common divisor: the last member of the remainder
+    sequence of (a, b), the higher degree first, made monic."""
     if a.is_zero or b.is_zero:
         raise ValueError("gcd of a zero polynomial is undefined here")
     if a == b:
         return a.monic()
     if a.degree < b.degree:
         a, b = b, a
-    while b:
-        a, b = b, _primitive(a % b)
-    return a.monic()
+    return _remainder_sequence(a, b)[-1].monic()
 
 
 def poly_lcm(a: Poly, b: Poly) -> Poly:
@@ -618,7 +616,7 @@ def square_free_decomposition(p: Poly) -> list[tuple[Poly, int]]:
     p = p.monic()
     if p.degree == 0:
         return []
-    return _yun(p, poly_gcd(p, p.derivative()))
+    return _yun(p, sturm_chain(p)[-1].monic())
 
 
 def _yun(p: Poly, g: Poly) -> list[tuple[Poly, int]]:
@@ -656,26 +654,6 @@ class RootInterval:
     @property
     def exact(self) -> bool:
         return self.lo == self.hi
-
-    def as_strings(self) -> dict:
-        return {
-            "lo": format_rational(self.lo),
-            "hi": format_rational(self.hi),
-            "multiplicity": self.multiplicity,
-        }
-
-
-@dataclass(frozen=True)
-class RootSet:
-    """All real roots of a polynomial, as disjoint isolating intervals."""
-
-    roots: tuple[RootInterval, ...]
-
-    def count(self) -> int:
-        return len(self.roots)
-
-    def as_strings(self) -> list[dict]:
-        return [r.as_strings() for r in self.roots]
 
 
 def _iroot_ceil(q: int, i: int) -> int:
@@ -829,8 +807,10 @@ def _refine_interval(g: Poly, a: Fraction, b: Fraction,
     return point(lo), point(hi)
 
 
-def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootSet:
-    """Isolate every distinct real root of p with its multiplicity.
+def isolate_real_roots(p: Poly, width: Fraction | None = None
+                       ) -> tuple[RootInterval, ...]:
+    """Isolate every distinct real root of p with its multiplicity, in
+    increasing order.
 
     Roots of different square-free factors are refined until all isolating
     intervals are pairwise disjoint.  `width` additionally refines every
@@ -848,7 +828,7 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootSet:
                          f"{format_rational(width)}")
     p = p.monic()
     if p.degree == 0:
-        return RootSet(())
+        return ()
     chain = sturm_chain(p)
     if chain[-1].degree == 0:
         factors = [(p, 1, chain)]
@@ -876,7 +856,7 @@ def isolate_real_roots(p: Poly, width: Fraction | None = None) -> RootSet:
         tagged = [(*_refine_interval(g, a, b, width), m, g)
                   for a, b, m, g in tagged]
         tagged.sort(key=lambda t: (t[0], t[1]))
-    return RootSet(tuple(RootInterval(a, b, m) for a, b, m, _ in tagged))
+    return tuple(RootInterval(a, b, m) for a, b, m, _ in tagged)
 
 
 def has_only_real_simple_roots(p: Poly) -> bool:

@@ -12,7 +12,7 @@ import json
 from dataclasses import fields, is_dataclass
 from fractions import Fraction
 
-from .exactmath import GaussianRational, Poly, RootSet, format_rational
+from .exactmath import GaussianRational, Poly, format_rational
 
 REPORT_SCHEMA = {
     "$schema": "http://json-schema.org/draft-07/schema#",
@@ -32,23 +32,23 @@ REPORT_SCHEMA = {
 
 
 def to_jsonable(x):
-    """Recursively convert package values into JSON-safe structures."""
+    """The one renderer: package values into JSON-safe structures,
+    recursively, and a dataclass into the object of its fields."""
+    # the most frequent kinds first: ids, flags and counts, then rationals
+    if isinstance(x, (bool, int, str)) or x is None:
+        return x
     if isinstance(x, Fraction):
         return format_rational(x)
     if isinstance(x, GaussianRational):
         return str(x)
     if isinstance(x, Poly):
         return [format_rational(c) for c in x.coeffs]
-    if isinstance(x, RootSet):
-        return x.as_strings()
-    if is_dataclass(x) and not isinstance(x, type):
-        return {f.name: to_jsonable(getattr(x, f.name)) for f in fields(x)}
     if isinstance(x, dict):
         return {str(k): to_jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [to_jsonable(v) for v in x]
-    if isinstance(x, (bool, int, str)) or x is None:
-        return x
+    if is_dataclass(x) and not isinstance(x, type):
+        return {f.name: to_jsonable(getattr(x, f.name)) for f in fields(x)}
     raise TypeError(f"cannot serialize {type(x).__name__} into a report")
 
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .exactmath import ONE, Poly, RootSet, X, isolate_real_roots, poly_gcd
+from .exactmath import ONE, Poly, RootInterval, X, isolate_real_roots, poly_gcd
 from .treecore import TreeTruncation
 from .treepoly import PolyFamily
 
@@ -58,7 +58,7 @@ class SharedRootFactor:
 
     vertex: str
     factor: Poly
-    roots: RootSet
+    roots: tuple[RootInterval, ...]
 
 
 def _factor_product(top: Poly, factors) -> Poly:
@@ -73,7 +73,7 @@ def _factor_product(top: Poly, factors) -> Poly:
 @dataclass(frozen=True)
 class SpectralDescription:
     top_factor: Poly
-    top_roots: RootSet
+    top_roots: tuple[RootInterval, ...]
     shared: tuple[SharedRootFactor, ...]
 
     def factor_product(self) -> Poly:

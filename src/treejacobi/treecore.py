@@ -82,23 +82,13 @@ class TreeTruncation:
                 yield v
 
     def descendants(self, x: int) -> list[int]:
-        """The subtree below (and including) x, in depth-first order."""
+        """The subtree below (and including) x, parents first (depth
+        first): the one tree walk; reversed, it is children first."""
         out, stack = [], [x]
         while stack:
             v = stack.pop()
             out.append(v)
             stack.extend(reversed(self.children[v]))
-        return out
-
-    def _post_order(self, root: int) -> list[int]:
-        """Children-before-parent ordering of the subtree at root."""
-        # the reverse of a preorder that takes the last child first
-        out, stack, children = [], [root], self.children
-        while stack:
-            v = stack.pop()
-            out.append(v)
-            stack.extend(children[v])
-        out.reverse()
         return out
 
     @property
@@ -115,7 +105,7 @@ class TreeTruncation:
             table = ClassTable()
             beta, lam, children = self.beta, self.lam, self.children
             cls = [0] * self.size
-            for v in self._post_order(self.top):
+            for v in reversed(self.descendants(self.top)):
                 cls[v] = table.add(beta[v], lam[v],
                                    tuple([cls[c] for c in children[v]]))
             self._classes = table, cls
@@ -419,26 +409,24 @@ def homogeneous_classes(d: int, depth: int, spine_lam=Fraction(1)
     return table, spine
 
 
-def decorated_path_tree(depth: int, path_lam=Fraction(1), path_beta=Fraction(0),
-                        side_lam=Fraction(1), side_beta=Fraction(0)) -> TreeTruncation:
+def decorated_path_tree(depth: int, side_lam=Fraction(1),
+                        side_beta=Fraction(0)) -> TreeTruncation:
     """A path x_0 ... x_depth with one pendant leaf y_{n-1} under each x_n.
 
-    Path rules are callables of the path level n; pendant rules are
-    callables of n where the pendant y_{n-1} hangs under x_n.  Pendants
-    above level 0 are childless by design (the operator under study keeps
-    only their coupling to the path), so they carry the cut flag.
+    The path has weight 1 and diagonal 0; pendant rules are callables of
+    n where the pendant y_{n-1} hangs under x_n.  Pendants above level 0
+    are childless by design (the operator under study keeps only their
+    coupling to the path), so they carry the cut flag.
     """
     if depth < 1:
         raise ValueError("a decorated path needs depth >= 1")
-    pl, pb = _as_rule(path_lam), _as_rule(path_beta)
     sl, sb = _as_rule(side_lam), _as_rule(side_beta)
-    ids, parent, level, lams, betas, cut = [], [], [], [], [], []
-    for k in range(depth + 1):
-        ids.append(f"x{k}")
-        parent.append(k + 1 if k < depth else None)
-        level.append(k)
-        lams.append(Fraction(pl(k)))
-        betas.append(Fraction(pb(k)))
+    ids = [f"x{k}" for k in range(depth + 1)]
+    parent = [k + 1 if k < depth else None for k in range(depth + 1)]
+    level = list(range(depth + 1))
+    lams = [Fraction(1)] * (depth + 1)
+    betas = [Fraction(0)] * (depth + 1)
+    cut = []
     for n in range(1, depth + 1):
         if n > 1:
             cut.append(len(ids))

@@ -67,7 +67,7 @@ class PolyFamily:
                 acc = acc - table.lam[e] * down  # lambda_e * P(c, e)
             self_c[c] = lcm
             up_c[c] = acc * (Fraction(1) / table.lam[c])
-        for v in t._post_order(self.anchor):
+        for v in t.descendants(self.anchor):
             self.self_poly[v], self.up_poly[v] = self_c[cls[v]], up_c[cls[v]]
 
     def vertices(self):
@@ -129,28 +129,33 @@ class FamilyReport:
         return [c for c in self.checks if not c.ok]
 
 
+def _report(fam: PolyFamily, detail) -> FamilyReport:
+    """One check per vertex, in index order: `detail(v)` is "" on a pass
+    and names the failure otherwise."""
+    rep = FamilyReport()
+    for v in sorted(fam.vertices()):
+        d = detail(v)
+        rep.checks.append(VertexCheck(fam.tree.ids[v], not d, d))
+    return rep
+
+
 def interlacing_report(fam: PolyFamily) -> FamilyReport:
     """Per vertex: both family polynomials have only real simple roots,
     their degrees differ by one, and the roots strictly interlace."""
-    rep = FamilyReport()
-    t = fam.tree
-    for v in sorted(fam.vertices()):
-        name = t.ids[v]
+    def detail(v: int) -> str:
         p_self, p_up = fam.self_poly[v], fam.up_poly[v]
         if p_up.degree != p_self.degree + 1:
-            rep.checks.append(VertexCheck(name, False, "degree law violated"))
-        elif strict_interlace(p_up, p_self):
+            return "degree law violated"
+        if strict_interlace(p_up, p_self):
             # strict interlacing implies real simple roots of both
-            rep.checks.append(VertexCheck(name, True))
-        elif not has_only_real_simple_roots(p_self):
-            rep.checks.append(VertexCheck(name, False,
-                                          "self polynomial roots not real simple"))
-        elif not has_only_real_simple_roots(p_up):
-            rep.checks.append(VertexCheck(name, False,
-                                          "up polynomial roots not real simple"))
-        else:
-            rep.checks.append(VertexCheck(name, False, "interlacing fails"))
-    return rep
+            return ""
+        if not has_only_real_simple_roots(p_self):
+            return "self polynomial roots not real simple"
+        if not has_only_real_simple_roots(p_up):
+            return "up polynomial roots not real simple"
+        return "interlacing fails"
+
+    return _report(fam, detail)
 
 
 def divisibility_report(fam: PolyFamily) -> FamilyReport:
@@ -162,30 +167,26 @@ def divisibility_report(fam: PolyFamily) -> FamilyReport:
     closed subtree below c, so the quotient P(v, t) / P(c, t) is
     self_poly[v] / up_poly[c] whatever t is, and at t = v the pair is
     (up_poly[c], self_poly[v]) itself.  A failure is named at t = v."""
-    rep = FamilyReport()
     t = fam.tree
-    for v in sorted(fam.vertices()):
+
+    def detail(v: int) -> str:
         name = t.ids[v]
-        bad = next((c for c in t.children[v]
-                    if not (fam.self_poly[v] % fam.up_poly[c]).is_zero), None)
-        if bad is None:
-            rep.checks.append(VertexCheck(name, True))
-        else:
-            rep.checks.append(VertexCheck(
-                name, False,
-                f"P({t.ids[bad]}, {name}) does not divide P({name}, {name})"))
-    return rep
+        for c in t.children[v]:
+            if not (fam.self_poly[v] % fam.up_poly[c]).is_zero:
+                return f"P({t.ids[c]}, {name}) does not divide P({name}, {name})"
+        return ""
+
+    return _report(fam, detail)
 
 
 def degree_law_report(fam: PolyFamily) -> FamilyReport:
     """deg up_poly = deg self_poly + 1 and the leading coefficient of the
     up-polynomial equals 1/lambda at every vertex."""
-    rep = FamilyReport()
-    t = fam.tree
-    for v in sorted(fam.vertices()):
-        name = t.ids[v]
-        ok = (fam.up_poly[v].degree == fam.self_poly[v].degree + 1
-              and fam.up_poly[v].leading() == Fraction(1) / t.lam[v]
-              and fam.self_poly[v].leading() == 1)
-        rep.checks.append(VertexCheck(name, ok, "" if ok else "degree/leading law"))
-    return rep
+    def detail(v: int) -> str:
+        p_self, p_up = fam.self_poly[v], fam.up_poly[v]
+        ok = (p_up.degree == p_self.degree + 1
+              and p_up.leading() == Fraction(1) / fam.tree.lam[v]
+              and p_self.leading() == 1)
+        return "" if ok else "degree/leading law"
+
+    return _report(fam, detail)

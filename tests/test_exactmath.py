@@ -67,16 +67,16 @@ def test_gcd_lcm_product_identity_random():
 
 def test_isolation_examples():
     rs = isolate_real_roots(X)
-    assert rs.count() == 1 and rs.roots[0].multiplicity == 1
-    assert rs.roots[0].lo <= 0 <= rs.roots[0].hi
+    assert len(rs) == 1 and rs[0].multiplicity == 1
+    assert rs[0].lo <= 0 <= rs[0].hi
 
     rs = isolate_real_roots((X - ONE) * (X - ONE))
-    assert rs.count() == 1 and rs.roots[0].multiplicity == 2
+    assert len(rs) == 1 and rs[0].multiplicity == 2
 
     p = X * X - 2 * ONE
     rs = isolate_real_roots(p)
-    assert rs.count() == 2
-    neg, pos = rs.roots
+    assert len(rs) == 2
+    neg, pos = rs
     assert neg.hi <= pos.lo  # disjoint, ordered
     for r in (neg, pos):     # each interval brackets a sign change of p
         assert p(r.lo) * p(r.hi) < 0
@@ -88,7 +88,7 @@ def test_isolation_examples():
 
 def test_isolation_refinement_width():
     rs = isolate_real_roots(X * X - 2 * ONE, width=F(1, 2 ** 20))
-    for r in rs.roots:
+    for r in rs:
         assert r.hi - r.lo <= F(1, 2 ** 20)
         # interval still brackets sqrt(2): check sign change
         p = X * X - 2 * ONE
@@ -134,13 +134,13 @@ def test_isolation_merge_property():
             continue
         prod = p * q
         rs = isolate_real_roots(prod)
-        for r in rs.roots:
+        for r in rs:
             if r.lo == r.hi:
                 expected = _mult_at_point(p, r.lo) + _mult_at_point(q, r.lo)
             else:
                 expected = _mult_in(p, r.lo, r.hi) + _mult_in(q, r.lo, r.hi)
             assert r.multiplicity == expected
-        assert sum(r.multiplicity for r in rs.roots) == _mult_in(prod, None, None)
+        assert sum(r.multiplicity for r in rs) == _mult_in(prod, None, None)
 
 
 def test_square_free_reconstruction():

@@ -16,7 +16,7 @@ from fraction_poly_oracle import FracPoly
 from sturm_oracle import (_integer_chain, sturm_isolate,
                           sturm_isolate_square_free, sturm_refine)
 from treejacobi import exactmath
-from treejacobi.exactmath import (ONE, X, Poly, RootInterval, RootSet,
+from treejacobi.exactmath import (ONE, X, Poly, RootInterval,
                                   _refine_interval, _root_radius, _sign_at,
                                   isolate_real_roots, square_free_decomposition,
                                   sturm_chain)
@@ -30,12 +30,12 @@ CHAIN_EVALUATIONS = 113
 SKIPPED_SPLITS = 64
 
 
-def oracle_root_set(p: Poly, width) -> RootSet:
-    return RootSet(tuple(RootInterval(a, b, m) for a, b, m in
-                         sturm_isolate(square_free_decomposition(p), width)))
+def oracle_root_set(p: Poly, width) -> tuple[RootInterval, ...]:
+    return tuple(RootInterval(a, b, m) for a, b, m in
+                 sturm_isolate(square_free_decomposition(p), width))
 
 
-def assert_matches_oracle(p: Poly, widths=WIDTHS) -> RootSet:
+def assert_matches_oracle(p: Poly, widths=WIDTHS) -> tuple[RootInterval, ...]:
     for width in widths:
         got = isolate_real_roots(p, width)
         assert got == oracle_root_set(p, width), (p, width)
@@ -88,7 +88,7 @@ def test_random_products_with_repeated_factors_match_oracle():
         for _ in range(rng.randint(1, 4)):
             p = p * _power(_factor(rng), rng.randint(1, 3))
         rs = assert_matches_oracle(p)
-        repeated += any(r.multiplicity > 1 for r in rs.roots)
+        repeated += any(r.multiplicity > 1 for r in rs)
     assert repeated > 10
 
 
@@ -106,7 +106,7 @@ def test_dyadic_roots_on_bisection_midpoints():
                   2 ** rng.randint(0, 3))
             p = p * _power(Poly([-r, 1]), rng.randint(1, 3))
         rs = assert_matches_oracle(p)
-        exact += sum(r.exact for r in rs.roots)
+        exact += sum(r.exact for r in rs)
     assert exact > 10
 
 
@@ -128,12 +128,12 @@ def test_width_equal_to_an_interval_width_stops_there():
     3/7 each interval is halved exactly three times, ending at width 3/7."""
     p = Poly([-17, 0, 7])
     start = [(F(-24, 7), F(0)), (F(0), F(24, 7))]
-    assert [(r.lo, r.hi) for r in isolate_real_roots(p).roots] == start
+    assert [(r.lo, r.hi) for r in isolate_real_roots(p)] == start
     assert [(r.lo, r.hi) for r in
-            isolate_real_roots(p, F(24, 7)).roots] == start
+            isolate_real_roots(p, F(24, 7))] == start
     rs = assert_matches_oracle(p, (F(24, 7), F(12, 7), F(3, 7)))
-    assert [r.hi - r.lo for r in rs.roots] == [F(3, 7), F(3, 7)]
-    assert [(r.lo, r.hi) for r in rs.roots] == [(F(-12, 7), F(-9, 7)),
+    assert [r.hi - r.lo for r in rs] == [F(3, 7), F(3, 7)]
+    assert [(r.lo, r.hi) for r in rs] == [(F(-12, 7), F(-9, 7)),
                                                  (F(9, 7), F(12, 7))]
 
 
@@ -142,10 +142,10 @@ def test_rational_roots_on_midpoints_and_first_split():
     the split is nudged to -2/3; refinement then meets both roots on a
     midpoint and returns them as exact intervals."""
     p = Poly([0, -1, 1])
-    assert [(r.lo, r.hi) for r in isolate_real_roots(p).roots] == [
+    assert [(r.lo, r.hi) for r in isolate_real_roots(p)] == [
         (F(-2, 3), F(2, 3)), (F(2, 3), F(2))]
     rs = assert_matches_oracle(p, (F(1, 1000), F(3, 7)))
-    assert [(r.lo, r.hi) for r in rs.roots] == [(0, 0), (1, 1)]
+    assert [(r.lo, r.hi) for r in rs] == [(0, 0), (1, 1)]
     # z (z + 4) (4z + 11) has Cauchy bound 12 and vanishes at the
     # midpoint 0 of (-12, 12] and at the next try -12 + 24/3 = -4, so the
     # first split is -12 + 24/4 = -6
@@ -153,7 +153,7 @@ def test_rational_roots_on_midpoints_and_first_split():
     splits = []
     sturm_isolate_square_free(q, splits)
     assert splits[0] == F(-6)
-    assert assert_matches_oracle(q).count() == 3
+    assert len(assert_matches_oracle(q)) == 3
 
 
 def _cubic(*roots: int) -> Poly:

@@ -10,7 +10,10 @@
   `degree`; likewise no other module reads the `GaussianRational`
   slots, only `re` and `im`;
 * no source file has a float or complex literal or names `float`: no
-  decision is made in floating point."""
+  decision is made in floating point;
+* values become text in one place: no class defines `as_strings`, and
+  `format_rational` is called only by `exactmath` (the text formats),
+  `treecore` (the tree document) and `reports` (the one renderer)."""
 
 import ast
 from pathlib import Path
@@ -108,3 +111,31 @@ def float_uses(path: Path) -> list[str]:
 def test_no_floats_in_the_package():
     assert float_uses(Path(__file__)) != []  # the check sees this file's tuple
     assert [line for m in sorted(SRC.glob("*.py")) for line in float_uses(m)] == []
+
+
+def format_calls(path: Path) -> list[str]:
+    """Every call of `format_rational`, by name or as an attribute."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Call):
+            f = node.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+            if name == "format_rational":
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def as_strings_methods(path: Path) -> list[str]:
+    """Every `as_strings` defined in a class body."""
+    return [f"{path.name}:{item.lineno} {node.name}.as_strings"
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and item.name == "as_strings"]
+
+
+def test_values_become_text_only_in_the_renderer():
+    modules = sorted(SRC.glob("*.py"))
+    assert [line for m in modules for line in as_strings_methods(m)] == []
+    callers = {m.stem for m in modules if format_calls(m)}
+    assert callers == {"exactmath", "treecore", "reports"}

@@ -29,7 +29,7 @@ def _rational_eigenvalues(tree) -> list[F]:
     p = char_poly(tree)
     lead = abs(p.prim[-1])
     out = []
-    for root in isolate_real_roots(p, F(1, 2 * lead * lead)).roots:
+    for root in isolate_real_roots(p, F(1, 2 * lead * lead)):
         c = ((root.lo + root.hi) / 2).limit_denominator(lead)
         if not p(c):
             out.append(c)

@@ -94,6 +94,20 @@ PINNED = [
      "c8fbf066814a1178b16ff7a719c99b4229d0d1e53f4d986ea1122b3e9561a35a"),
     (("poly", "--tree", "h23.json", "--at", "r.0", "--target", "r.0.1.0"), 0,
      "09efa74ea7670059d70c70399b94078a7487f4407232b4098b30b2ced95f219e"),
+    # report fields the CLI renders through `reports`: square sums of a
+    # rule only the mix pool runs, a single-depth growth, the side
+    # reductions of a nonreal solve, and two constructions' results
+    (("classical", "--rule", "geometric-weights", "--q", "3/2", "--depth",
+      "12", "--report", "pq0"), 0,
+     "889cea508e069e919636f12aa2b3ea99c263b3ec75f78683c94ce761a809a2af"),
+    (("growth", "--generator", "homogeneous:2", "--depths", "7"), 0,
+     "d3c873fc0d97a350960aee7866f8af5e43d8d9bb5315691b32ab49663da7716d"),
+    (("solve", "--tree", "h23.json", "--z=1/2+1/1i"), 0,
+     "5916d925ae0e2fafffd83856dea339bdaa9842f45ce45fe494096c6216511a75"),
+    (("construct", "--example", "bounded-path", "--depth", "3"), 0,
+     "aa7a4e5215fa30f166461cc3569a062018ecacab6f96124f6fc7b957be318523"),
+    (("construct", "--example", "pendant-path", "--depth", "6"), 0,
+     "72afbe174d64b993b6fc24af2eae67f9a6188b38fcc029229886d549ecf0d56e"),
 ]
 
 

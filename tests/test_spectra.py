@@ -93,11 +93,11 @@ def test_matrix_symmetry_and_pattern():
 
 def test_spectral_description_star():
     desc = spectral_description(family(STAR))
-    assert desc.top_roots.count() == 2
+    assert len(desc.top_roots) == 2
     assert len(desc.shared) == 1
     assert desc.shared[0].vertex == "x"
     assert desc.shared[0].factor == X
-    assert [r.multiplicity for r in desc.shared[0].roots.roots] == [1]
+    assert [r.multiplicity for r in desc.shared[0].roots] == [1]
 
 
 def test_spectral_description_path_and_distinct():
@@ -169,7 +169,7 @@ def _rational_roots(p):
     isolating interval narrower than 1/a holds at most one candidate."""
     a = abs(p.leading() * math.lcm(*(c.denominator for c in p.coeffs)))
     candidates = (F(math.floor(r.hi * a), a)
-                  for r in isolate_real_roots(p, F(1, 2 * a)).roots)
+                  for r in isolate_real_roots(p, F(1, 2 * a)))
     return {x for x in candidates if p(x) == 0}
 
 
@@ -249,10 +249,10 @@ def test_spectral_description_multiplicities_match_char_poly():
         assert desc.factor_product() == p.monic()
         # every described root interval carries exactly the multiplicity
         # the characteristic polynomial has there
-        assert all(r.multiplicity == 1 for r in desc.top_roots.roots)
-        described = [(r, 1) for r in desc.top_roots.roots]
+        assert all(r.multiplicity == 1 for r in desc.top_roots)
+        described = [(r, 1) for r in desc.top_roots]
         for shared in desc.shared:
-            described.extend((r, r.multiplicity) for r in shared.roots.roots)
+            described.extend((r, r.multiplicity) for r in shared.roots)
         total = 0
         for r, mult in described:
             if r.lo == r.hi:

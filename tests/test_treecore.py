@@ -223,7 +223,7 @@ def reachability_path(tree):
     """The earlier `default_path`, the oracle: mark which vertices reach
     level 0, then descend from the top by the first child that does."""
     reaches = {}
-    for v in tree._post_order(tree.top):
+    for v in reversed(tree.descendants(tree.top)):
         reaches[v] = tree.level[v] == 0 or any(reaches[c]
                                                for c in tree.children[v])
     if not reaches[tree.top]:

@@ -101,6 +101,43 @@ def test_divisibility_flags_a_replaced_self_poly():
         name, False, f"P({c}, {name}) does not divide P({name}, {name})")]
 
 
+def _real_roots_far(n: int) -> Poly:
+    """(z - 100)(z - 101)...: n real simple roots beyond every root of
+    h23's family."""
+    p = ONE
+    for i in range(n):
+        p = p * (X - (100 + i) * ONE)
+    return p
+
+
+def test_family_reports_name_each_failure_detail():
+    # tamper one vertex per case; the report names exactly that vertex
+    # with the detail of the first check it fails
+    tree = h23()
+    v = next(u for u in range(tree.size) if tree.level[u] == 1)
+    no_real = X * X + ONE
+    cases = [
+        (interlacing_report, "up_poly", lambda s, u: u * X,
+         "degree law violated"),
+        (interlacing_report, "self_poly",
+         lambda s, u: no_real * _real_roots_far(s.degree - 2),
+         "self polynomial roots not real simple"),
+        (interlacing_report, "up_poly",
+         lambda s, u: no_real * _real_roots_far(u.degree - 2),
+         "up polynomial roots not real simple"),
+        (interlacing_report, "self_poly",
+         lambda s, u: _real_roots_far(s.degree), "interlacing fails"),
+        (degree_law_report, "up_poly", lambda s, u: u * 2,
+         "degree/leading law"),
+    ]
+    for report, slot, tamper, detail in cases:
+        fam = family(tree)
+        assert report(fam).ok
+        getattr(fam, slot)[v] = tamper(fam.self_poly[v], fam.up_poly[v])
+        assert report(fam).failures() == [
+            VertexCheck(tree.ids[v], False, detail)], detail
+
+
 def test_interlacing_random_homogeneous():
     rng = random.Random(41)
     for _ in range(3):
