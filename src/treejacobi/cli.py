@@ -61,6 +61,19 @@ def _resolve_path(tree, arg: str | None):
     return default_path(tree)
 
 
+def _wronskian_rows(pair) -> list[dict]:
+    """Per step n of the pair's path: the Wronskian and the 1/lambda_{x_n}
+    that solve_pair promises."""
+    xs, lam = pair.path, pair.v.tree.lam
+    rows = []
+    for n in range(len(xs) - 1):
+        value = solutions.wronskian(pair.v, pair.u, n)
+        expected = GaussianRational(Fraction(1) / lam[xs[n]], Fraction(0))
+        rows.append({"n": n, "value": value, "expected": expected,
+                     "ok": value == expected})
+    return rows
+
+
 def _finish(args_list, inputs, results, failures) -> int:
     report = make_report(args_list, inputs, results, failures)
     sys.stdout.write(render(report))
@@ -160,16 +173,9 @@ def _cmd_wronskian(args, argv) -> int:
     tree = _load_tree(args.tree)
     z = parse_gaussian(args.z)
     path = _resolve_path(tree, args.path)
-    pair = solutions.solve_pair(tree, path, z)
-    rows = []
-    failures = []
-    for n in range(len(path) - 1):
-        value = solutions.wronskian(pair.v, pair.u, n)
-        expected = GaussianRational(Fraction(1) / tree.lam[path[n]], Fraction(0))
-        rows.append({"n": n, "value": value,
-                     "expected": expected, "ok": value == expected})
-        if value != expected:
-            failures.append(f"wronskian at step {n} is not 1/lambda")
+    rows = _wronskian_rows(solutions.solve_pair(tree, path, z))
+    failures = [f"wronskian at step {row['n']} is not 1/lambda"
+                for row in rows if not row["ok"]]
     return _finish(argv, {"tree": tree.to_spec(), "z": z},
                    {"path": path.ids, "steps": rows}, failures)
 
@@ -368,15 +374,8 @@ def _suite_items(tree: TreeTruncation, seed: int, z: GaussianRational):
         return all(d == 1 for d in dims), {"dimensions": dims}
 
     def wronskian_item():
-        xs = path()
-        ok = True
-        for w in zs:
-            pair = pair_at(w)
-            for n in range(len(xs) - 1):
-                expected = GaussianRational(Fraction(1) / tree.lam[xs[n]],
-                                            Fraction(0))
-                ok = ok and solutions.wronskian(pair.v, pair.u, n) == expected
-        return ok, {}
+        rows = [row for w in zs for row in _wronskian_rows(pair_at(w))]
+        return all(row["ok"] for row in rows), {}
 
     def conjugation():
         a = pair_at(zs[-1])

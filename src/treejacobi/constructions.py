@@ -56,9 +56,15 @@ class PositivityVerdict:
     ok: bool
     equality_everywhere: bool
     failures: list[dict]
-    alphas: dict[str, Fraction]
-    gammas: dict[str, Fraction]
     negative_eigenvalues: int | None
+
+
+def _certificate_rows(tree: TreeTruncation, m: dict[int, Fraction]):
+    """Per vertex v: v, beta_v m(v) and the off-diagonal row of J at v
+    applied to m, the two sides of the certificate (in)equality."""
+    for v in range(tree.size):
+        yield v, tree.beta[v] * m[v], sum(
+            (lam * m[w] for lam, w in tree.neighbours(v)), Fraction(0))
 
 
 def check_positivity_certificate(tree: TreeTruncation,
@@ -75,28 +81,19 @@ def check_positivity_certificate(tree: TreeTruncation,
         raise ValueError("certificate function m must be positive everywhere")
     failures = []
     equality = True
-    alphas: dict[str, Fraction] = {}
-    gammas: dict[str, Fraction] = {}
-    for v in range(tree.size):
-        lhs = tree.beta[v] * m[v]
-        rhs = sum((tree.lam[c] * m[c] for c in tree.children[v]), Fraction(0))
-        p = tree.parent[v]
-        if p is not None:
-            rhs += tree.lam[v] * m[p]
-            alphas[tree.ids[v]] = tree.lam[v] * m[v] / m[p]
-            gammas[tree.ids[v]] = tree.lam[v] * m[p] / m[v]
+    for v, lhs, rhs in _certificate_rows(tree, m):
         if lhs < rhs:
             failures.append({"vertex": tree.ids[v], "lhs": lhs, "rhs": rhs})
-        elif lhs != rhs and p is not None:
+        elif lhs != rhs and v != tree.top:
             equality = False  # equality mode concerns the non-top vertices
     if failures:
-        return PositivityVerdict(False, False, failures, alphas, gammas, None)
+        return PositivityVerdict(False, False, failures, None)
     inertia = tree_inertia(tree, Fraction(0))
     if inertia.below != 0:
         raise PositivityError(
             "certificate inequality held yet negative eigenvalues exist; "
             "this cannot happen for a valid certificate and indicates a bug")
-    return PositivityVerdict(True, equality, [], alphas, gammas, inertia.below)
+    return PositivityVerdict(True, equality, [], inertia.below)
 
 
 def unit_certificate(tree: TreeTruncation) -> dict[int, Fraction]:
@@ -188,16 +185,11 @@ def _regularized_witness(tree: TreeTruncation, path: PathSelection,
 
 
 def _verify_equality_certificate(tree: TreeTruncation, m: dict[int, Fraction]):
-    for v in range(tree.size):
+    for v, lhs, rhs in _certificate_rows(tree, m):
         if m[v] <= 0:
             raise PositivityError(
                 f"certificate value at {tree.ids[v]!r} is not positive")
-        if v == tree.top:
-            continue
-        lhs = tree.beta[v] * m[v]
-        rhs = tree.lam[v] * m[tree.parent[v]]
-        rhs += sum((tree.lam[c] * m[c] for c in tree.children[v]), Fraction(0))
-        if lhs != rhs:
+        if lhs != rhs and v != tree.top:
             raise PositivityError(
                 f"equality certificate has a nonzero residual at "
                 f"{tree.ids[v]!r}")
@@ -260,24 +252,24 @@ def build_small_norm_pair(depth: int) -> SmallNormResult:
     free = recurrence_values(lambda k: 1, lambda k: 0, z,
                              GaussianRational.of(1), z, depth)
     chain_mass = Fraction(0)
+    # vertex order x0, then per stage x_n and its side chain; x_{n-1}
+    # gets its parent and weight at stage n
     ids: list[str] = ["x0"]
-    parent_ids: dict[str, str | None] = {"x0": None}
-    levels: dict[str, int] = {"x0": 0}
-    lams: dict[str, Fraction] = {}
-    values: dict[str, GaussianRational] = {
-        "x0": GaussianRational(Fraction(1, 2), Fraction(0))}
-    norm = values["x0"].abs2()
+    parent: list[int | None] = [None]
+    levels: list[int] = [0]
+    lams: list[Fraction | None] = [None]
+    values = [GaussianRational(Fraction(1, 2), Fraction(0))]
+    norm = values[0].abs2()
     ledger: list[NormLedgerRow] = []
+    prev = 0  # x_{n-1}
+    below: list[int] = []  # the children of x_{n-1}
     for n in range(1, depth + 1):
         b_n = default_budget(n)
-        prev = f"x{n - 1}"
-        cur = f"x{n}"
         # eigen-equation at x_{n-1}: lambda_{x_{n-1}} v(x_n) = R, where R
         # collects z v(x_{n-1}) minus all already-fixed neighbor terms
         r_val = z * values[prev]
-        if n >= 2:  # the neighbors below x_{n-1}
-            for y in (f"x{n - 2}", f"s{n - 1}"):
-                r_val = r_val - lams[y] * values[y]
+        for y in below:
+            r_val = r_val - lams[y] * values[y]
         if not r_val:
             raise ConstructionError(
                 f"vanishing right-hand side at stage {n}; impossible for a "
@@ -286,13 +278,13 @@ def build_small_norm_pair(depth: int) -> SmallNormResult:
         while r_val.abs2() / lam_prev ** 2 > b_n:
             lam_prev *= 2
         lams[prev] = lam_prev
-        ids.append(cur)
-        parent_ids[cur] = None
-        levels[cur] = n
-        parent_ids[prev] = cur
-        values[cur] = r_val / lam_prev
+        cur = parent[prev] = len(ids)
+        ids.append(f"x{n}")
+        parent.append(None)
+        levels.append(n)
+        lams.append(None)
+        values.append(r_val / lam_prev)
         # fresh side chain s_n (level n-1) ... s_n.<n-1> (level 0)
-        chain = [f"s{n}"] + [f"s{n}.{j}" for j in range(1, n)]
         head = free[n]
         if not head:
             raise ConstructionError(
@@ -303,34 +295,28 @@ def build_small_norm_pair(depth: int) -> SmallNormResult:
             lam_side /= 2
         scale = lam_side * values[cur] / head
         side_norm = scale.abs2() * chain_mass
-        for j, name in enumerate(chain):
-            ids.append(name)
-            parent_ids[name] = cur if j == 0 else chain[j - 1]
-            levels[name] = n - 1 - j
-            lams[name] = lam_side if j == 0 else Fraction(1)
-            values[name] = scale * free[n - 1 - j]
+        for j in range(n):
+            ids.append(f"s{n}.{j}" if j else f"s{n}")
+            parent.append(cur + j)
+            levels.append(n - 1 - j)
+            lams.append(lam_side if j == 0 else Fraction(1))
+            values.append(scale * free[n - 1 - j])
         norm = norm + side_norm + values[cur].abs2()
         ledger.append(NormLedgerRow(
             n, side_norm, values[cur].abs2(), norm,
             Fraction(1) - Fraction(1, 2 ** n)))
-    lams[f"x{depth}"] = Fraction(1)  # weight of the absent upward edge
-    index = {name: i for i, name in enumerate(ids)}
-    tree = TreeTruncation(
-        ids=ids,
-        top=index[f"x{depth}"],
-        parent=[None if parent_ids[i] is None else index[parent_ids[i]]
-                for i in ids],
-        level=[levels[i] for i in ids],
-        lam=[lams[i] for i in ids],
-        beta=[Fraction(0)] * len(ids))
-    vals = {tree.index_of(name): w for name, w in values.items()}
-    fld = SolutionField(tree, z, vals, frozenset(tree.interior()),
-                        default_path(tree))
+        prev, below = cur, [prev, cur + 1]
+    lams[prev] = Fraction(1)  # weight of the absent upward edge
+    tree = TreeTruncation(ids, prev, parent, levels, lams,
+                          [Fraction(0)] * len(ids))
+    path = default_path(tree)
+    fld = SolutionField(tree, z, dict(enumerate(values)),
+                        frozenset(tree.interior()), path)
     if not fld.verify():
         raise ConstructionError("constructed solution has a nonzero residual")
     if not all(row.ok for row in ledger):
         raise ConstructionError("norm ledger bound violated")
-    return SmallNormResult(tree, fld, default_path(tree), ledger)
+    return SmallNormResult(tree, fld, path, ledger)
 
 
 # ---------------------------------------------------------------------
@@ -348,9 +334,7 @@ def default_path_weight(n: int) -> Fraction:
 @dataclass
 class PerturbedHomogeneousResult:
     tree: TreeTruncation
-    base: TreeTruncation
     path: PathSelection
-    branching: int
     base_weight: Fraction
     path_weights: list[Fraction]
 
@@ -372,22 +356,16 @@ def build_path_perturbed_homogeneous(d: int, depth: int
     """The sum of the norm-bounded homogeneous matrix (all weights
     d^(-1/2), zero diagonal; truncations stay inside [-2, 2]) and the
     degenerate path matrix with weights `default_path_weight(n)` along the
-    leftmost path.  d must be a perfect square so the base weight stays
-    rational."""
+    leftmost path, the all-zero addresses that form `default_path`.  d
+    must be a perfect square so the base weight stays rational."""
     w = _base_weight(d)
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    base = homogeneous_tree(d, depth, lam=w, beta=Fraction(0))
-    path = default_path(base)
-    weights = [default_path_weight(n) for n in range(len(path))]
-    on_path = {v: k for k, v in enumerate(path.vertices)}
-    lam = [base.lam[v] + weights[on_path[v]] if v in on_path else base.lam[v]
-           for v in range(base.size)]
-    tree = TreeTruncation(base.ids, base.top,
-                          [base.parent[v] for v in range(base.size)],
-                          base.level, lam, base.beta)
-    return PerturbedHomogeneousResult(
-        tree, base, default_path(tree), d, w, weights)
+    weights = [default_path_weight(n) for n in range(depth + 1)]
+    tree = homogeneous_tree(
+        d, depth, lam=lambda lv, addr: w if any(addr) else w + weights[lv],
+        beta=Fraction(0))
+    return PerturbedHomogeneousResult(tree, default_path(tree), w, weights)
 
 
 def bounded_base_radius_ok(d: int, depths) -> bool:
@@ -479,12 +457,10 @@ def build_pendant_path(depth: int, rule: str = "ramp",
                             - beta_rule(n) * v[xs[n]]
                             + lam_p * v[xs[n - 1]]))
     norm_ok = True
-    for n in range(1, depth + 1):
-        y = tree.index_of(f"y{n - 1}")
-        norm_ok = norm_ok and v[y].abs2() == v[xs[n]].abs2()
+    for x, (y,) in zip(xs[1:], path.sides[1:]):  # the pendant y_{n-1} of x_n
+        norm_ok = norm_ok and v[y].abs2() == v[x].abs2()
         # the pendant's own equation (pendants are cut; assert it directly)
-        res = I * v[y] - tree.lam[y] * v[xs[n]] - tree.beta[y] * v[y]
-        norm_ok = norm_ok and not res
+        norm_ok = norm_ok and not pair.v.residual(y)
     ref = recurrence_values(lambda n: 1, lambda n: -beta_rule(n), two_i,
                             v[xs[0]], v[xs[1]], depth)
     classical_match = all(ref[n] == v[xs[n]] for n in range(depth + 1))
@@ -520,39 +496,28 @@ def build_real_obstruction(depth: int) -> ObstructionResult:
     The returned propagation result holds the proof of infeasibility."""
     if depth < 2:
         raise ValueError("depth must be >= 2")
-    ids: list[str] = []
-    parents: list[str | None] = []
-    levels: list[int] = []
-    lams: list[Fraction] = []
-    betas: list[Fraction] = []
-
-    def add(name, parent, level, lam, beta):
-        ids.append(name)
-        parents.append(parent)
-        levels.append(level)
-        lams.append(Fraction(lam))
-        betas.append(Fraction(beta))
-
-    for k in range(depth + 1):
-        add(f"x{k}", f"x{k + 1}" if k < depth else None, k, 1,
-            1 if k == 0 else 0)
+    # the path x_0 ... x_depth first, top last, then the blocks in order
+    ids = [f"x{k}" for k in range(depth + 1)]
+    parents: list[int | None] = [*range(1, depth + 1), None]
+    levels = list(range(depth + 1))
+    lams = [Fraction(1)] * (depth + 1)
+    betas = [Fraction(1)] + [Fraction(0)] * depth
     kill_betas: list[Fraction] = []
     dims: list[int] = []
     for k in range(depth):
-        # y_k over a full binary block, renamed r... -> y{k}...
+        # y_k over a full binary block, renamed r... -> y{k}..., its root
+        # under x_{k+1}
         block = homogeneous_tree(2, k, beta=lambda lv, addr: 4 if addr else 0)
-        name = [f"y{k}{r[1:]}" for r in block.ids]
         beta_y, dim = _kill_beta(block)
         kill_betas.append(beta_y)
         dims.append(dim)
-        add(name[0], f"x{k + 1}", k, 1, beta_y)
-        for v in range(1, block.size):
-            add(name[v], name[block.parent[v]], block.level[v], 1, 4)
-    index = {name: i for i, name in enumerate(ids)}
-    tree = TreeTruncation(
-        ids, index[f"x{depth}"],
-        [None if p is None else index[p] for p in parents],
-        levels, lams, betas)
+        root = len(ids)
+        ids += [f"y{k}{r[1:]}" for r in block.ids]
+        parents += [k + 1] + [root + p for p in block.parent[1:]]
+        levels += block.level
+        lams += block.lam
+        betas += [beta_y, *block.beta[1:]]
+    tree = TreeTruncation(ids, depth, parents, levels, lams, betas)
     prop = propagate_real(tree, Fraction(0))
     return ObstructionResult(tree, kill_betas, dims, prop)
 

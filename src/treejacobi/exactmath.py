@@ -34,6 +34,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -60,8 +61,12 @@ def parse_rational(text: str) -> Fraction:
 
 
 def format_rational(x: Fraction) -> str:
-    """Canonical ``"p/q"`` form, denominator always explicit."""
-    return f"{x.numerator}/{x.denominator}"
+    """Canonical ``"p/q"`` form, denominator always explicit; past the
+    digit limit of CPython's `str` on ints, `Decimal` writes them exactly."""
+    try:
+        return f"{x.numerator}/{x.denominator}"
+    except ValueError:
+        return f"{Decimal(x.numerator)}/{Decimal(x.denominator)}"
 
 
 def parse_gaussian(text: str) -> "GaussianRational":

@@ -56,12 +56,11 @@ class SolutionField:
     def residual(self, v: int) -> GaussianRational:
         """z f(v) minus the operator row at v; v must not be the top."""
         t = self.tree
-        p = t.parent[v]
-        if p is None:
+        if v == t.top:
             raise ValidationError(
                 f"no eigen-equation at the top vertex {t.ids[v]!r}")
         f = self.values
-        row = [(t.lam[v], f[p])] + [(t.lam[c], f[c]) for c in t.children[v]]
+        row = [(lam, f[w]) for lam, w in t.neighbours(v)]
         return GaussianRational.product_difference(self.z - t.beta[v], f[v],
                                                    row)
 
@@ -245,9 +244,8 @@ def _equation_row(tree: TreeTruncation, w: int, pos: dict[int, int], z,
     """Coefficient row of the eigen-equation at w over the field of `zero`."""
     row = [zero] * len(pos)
     row[pos[w]] = zero + z - tree.beta[w]
-    row[pos[tree.parent[w]]] = row[pos[tree.parent[w]]] - tree.lam[w]
-    for c in tree.children[w]:
-        row[pos[c]] = row[pos[c]] - tree.lam[c]
+    for lam, u in tree.neighbours(w):
+        row[pos[u]] = row[pos[u]] - lam
     return row
 
 

@@ -240,9 +240,9 @@ def _witness_holds(fam: PolyFamily, v: int, c1: int, c2: int, g: Poly) -> bool:
     zero = Poly()
     for w in (v, *u):
         uw = u.get(w, zero)
-        acc = X * uw - t.beta[w] * uw - t.lam[w] * u.get(t.parent[w], zero)
-        for c in t.children[w]:
-            acc = acc - t.lam[c] * u.get(c, zero)
+        acc = X * uw - t.beta[w] * uw
+        for lam, n in t.neighbours(w):
+            acc = acc - lam * u.get(n, zero)
         if not (acc % g).is_zero:
             return False
     return True

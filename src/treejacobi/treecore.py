@@ -81,6 +81,14 @@ class TreeTruncation:
             if v != self.top and v not in self.cut:
                 yield v
 
+    def neighbours(self, v: int) -> list[tuple[Fraction, int]]:
+        """The off-diagonal entries of row v of J as (lambda, w) pairs:
+        the parent with lambda_v first (none at the top), then each child
+        c with lambda_c.  Every residual of the package reads this row."""
+        lam, p = self.lam, self.parent[v]
+        row = [] if p is None else [(lam[v], p)]
+        return row + [(lam[c], c) for c in self.children[v]]
+
     def descendants(self, x: int) -> list[int]:
         """The subtree below (and including) x, parents first (depth
         first): the one tree walk; reversed, it is children first."""

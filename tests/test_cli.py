@@ -239,6 +239,9 @@ BOOL_LEVEL = STAR.replace('"level": 1, "beta"', '"level": true, "beta"')
     (None, ["growth", "--generator", "homogeneous:2", "--depths", "+1..2"]),
     (None, ["growth", "--generator", "homogeneous:2", "--depths", "1.. 2"]),
     (None, ["growth", "--generator", "homogeneous:2", "--depths", "\uff12"]),
+    # input parsing keeps CPython's cap on the digits of an int literal
+    (None, ["classical", "--rule", "geometric-weights", "--q",
+            "1" * 5000 + "/1", "--depth", "1"]),
 ], ids=["beta-1/0", "numeric-top_lambda", "z-1/0", "unknown-at",
         "unknown-target", "width-0", "width-negative", "numeric-beta",
         "numeric-lambda", "string-level", "bool-level", "empty-depths",
@@ -248,7 +251,8 @@ BOOL_LEVEL = STAR.replace('"level": 1, "beta"', '"level": true, "beta"')
         "empty-wronskian-path", "empty-out", "bounded-path-d-0",
         "bounded-path-d-negative", "branching-underscore", "branching-plus",
         "branching-space", "branching-fullwidth", "depth-underscore",
-        "depth-plus", "depth-space", "depth-fullwidth"])
+        "depth-plus", "depth-space", "depth-fullwidth",
+        "q-past-digit-limit"])
 def test_bad_input_exits_2_with_one_line(tmp_path, doc, args):
     tree = tmp_path / "tree.json"
     tree_args = []
@@ -265,6 +269,15 @@ def test_bad_input_exits_2_with_one_line(tmp_path, doc, args):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def test_report_writes_integers_past_the_str_digit_limit(capsys):
+    # lambda_1500 = 1000^1501 has 4,504 digits, past the 4,300 that
+    # CPython's str of an int allows; the report writes it exactly
+    code, report = run(capsys, ["classical", "--rule", "geometric-weights",
+                                "--q", "1000/1", "--depth", "1500"])
+    assert code == 0
+    assert report["results"]["lambdas"][1500] == "1" + "0" * 4503 + "/1"
 
 
 @pytest.mark.parametrize("args, message", [

@@ -202,6 +202,12 @@ def test_rational_text_round_trip():
         parse_rational("3/4/5")
     with pytest.raises(ParseError):
         parse_rational("x")
+    # CPython's str of an int stops at 4,300 digits; the text format does
+    # not, in either part or sign, and a Gaussian's parts follow it
+    big = 10 ** 4400
+    assert format_rational(F(-big, 3)) == "-1" + "0" * 4400 + "/3"
+    assert format_rational(F(1, big - 1)) == "1/" + "9" * 4400
+    assert str(GaussianRational(F(0), F(-big))) == "0/1-1" + "0" * 4400 + "/1i"
 
 
 def test_gaussian_text_round_trip():

@@ -13,7 +13,10 @@
   decision is made in floating point;
 * values become text in one place: no class defines `as_strings`, and
   `format_rational` is called only by `exactmath` (the text formats),
-  `treecore` (the tree document) and `reports` (the one renderer)."""
+  `treecore` (the tree document) and `reports` (the one renderer);
+* the row of J is written once, by `TreeTruncation.neighbours`: outside
+  `treecore` no function subscripts both a `.parent` and a `.children`
+  attribute."""
 
 import ast
 from pathlib import Path
@@ -139,3 +142,24 @@ def test_values_become_text_only_in_the_renderer():
     assert [line for m in modules for line in as_strings_methods(m)] == []
     callers = {m.stem for m in modules if format_calls(m)}
     assert callers == {"exactmath", "treecore", "reports"}
+
+
+def row_writers(path: Path) -> list[str]:
+    """Every function (nested ones included) that subscripts both a
+    `.parent` and a `.children` attribute: one that walks a vertex's
+    neighbours itself."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            attrs = {sub.value.attr for sub in ast.walk(node)
+                     if isinstance(sub, ast.Subscript)
+                     and isinstance(sub.value, ast.Attribute)}
+            if {"parent", "children"} <= attrs:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+    return found
+
+
+def test_the_row_of_j_is_written_only_in_treecore():
+    assert row_writers(SRC / "treecore.py") != []  # the check sees neighbours
+    others = sorted(set(SRC.glob("*.py")) - {SRC / "treecore.py"})
+    assert [line for m in others for line in row_writers(m)] == []

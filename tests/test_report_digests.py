@@ -1,6 +1,7 @@
 """Pinned reports: the stdout sha256 and exit code of a fixed set of
-CLI ops.  A change that claims to leave every report byte-identical
-must leave these digests as they are.  The ops run in a temporary
+CLI ops, and the sha256 of the tree file an op writes with `--out`.  A
+change that claims to leave every report and every written tree
+byte-identical must leave these digests as they are.  The ops run in a temporary
 working directory with relative file names, since reports echo argv.
 To re-pin after a change that alters a report on purpose, print
 `_digest(...)` for the changed op and say why in CHANGES.md."""
@@ -108,7 +109,35 @@ PINNED = [
      "aa7a4e5215fa30f166461cc3569a062018ecacab6f96124f6fc7b957be318523"),
     (("construct", "--example", "pendant-path", "--depth", "6"), 0,
      "72afbe174d64b993b6fc24af2eae67f9a6188b38fcc029229886d549ecf0d56e"),
+    # constructions deeper than the benchmark's pools go, and the pendant
+    # rule they never run; their written trees are pinned in WRITTEN
+    (("construct", "--example", "small-norm", "--depth", "12", "--out",
+      "small12.json"), 0,
+     "dd3cb312516d7a1c5bc88419f9996609bf46fbe68a7918324d97ae5db2192a95"),
+    (("construct", "--example", "bounded-path", "--depth", "5", "--out",
+      "bounded5.json"), 0,
+     "21d7e42eaa1463b8c40515d17c5fba9b4b04dbef4cb0692eff0d60a8fa3b883e"),
+    (("construct", "--example", "real-obstruction", "--depth", "6", "--out",
+      "obstruction6.json"), 0,
+     "de32a557d709d364efc7bdedc3f7b9dec9ec6c94056d0ca8639f00af67024951"),
+    (("construct", "--example", "pendant-path", "--pendant-rule", "constant",
+      "--a", "3/4", "--depth", "8", "--out", "pendant8.json"), 0,
+     "4de5e8cdc6f522986dd088f77986bb5c3a8bc8db8be8fd63d95b63d27f037e20"),
 ]
+
+# the sha256 of each file a pinned op writes with --out
+WRITTEN = {
+    "obstruction.json":
+        "791d3e99afc56e20378d7c041fed1376052884e803cdbe067e14231f6e78759a",
+    "small12.json":
+        "31e1c8f81b6d2bfd53ce0a7b8c55973eec8df634aae74bf4c4c4627f63147ea0",
+    "bounded5.json":
+        "bc5f4a64c0831219755443b945482d59b93539074ed59f50943dafafb98436a3",
+    "obstruction6.json":
+        "2ba86a055c5876cdce57f7a0eeea6385339ea47ce0c587f416d89903caac703c",
+    "pendant8.json":
+        "d1dcc13219b425b8970a787cd1d15d80bd54dd534414d20866f169b76446358f",
+}
 
 
 def _digest(capsys, argv) -> tuple[int, str]:
@@ -135,3 +164,7 @@ def test_report_is_pinned(capsys, tmp_path, monkeypatch, argv, code, sha):
     for name, text in TREES.items():
         (tmp_path / name).write_text(text(), encoding="utf-8")
     assert _digest(capsys, argv) == (code, sha)
+    if "--out" in argv:
+        name = argv[argv.index("--out") + 1]
+        written = hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        assert written == WRITTEN[name]

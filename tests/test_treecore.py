@@ -145,6 +145,44 @@ def test_cut_leaf_allowed_with_flag():
     assert t.index_of("a") not in set(t.interior())
 
 
+def _dense_j(tree):
+    """J entry by entry from the parent links: beta on the diagonal and
+    lambda_v at (v, parent v) and (parent v, v)."""
+    j = [[F(0)] * tree.size for _ in range(tree.size)]
+    for v in range(tree.size):
+        j[v][v] = tree.beta[v]
+        p = tree.parent[v]
+        if p is not None:
+            j[v][p] = j[p][v] = tree.lam[v]
+    return j
+
+
+def test_neighbours_are_the_off_diagonal_row_of_j():
+    # random weights tell lambda_v from lambda_c; cut shapes and
+    # decorated paths bring cut leaves above level 0
+    trees = exhaustive_corpus(5) + cut_shape_corpus(6) + [
+        decorated_path_tree(n, side_lam=lambda k: F(k + 2, 3),
+                            side_beta=lambda k: F(k, 5)) for n in (1, 2, 5)]
+    cut_leaves = 0
+    for tree in trees:
+        j = _dense_j(tree)
+        for v in range(tree.size):
+            row = tree.neighbours(v)
+            off = {w: x for w, x in enumerate(j[v]) if w != v and x}
+            assert dict((w, lam) for lam, w in row) == off
+            assert len(row) == len(off)
+            for lam, w in row:  # symmetric: v is in the row of w
+                assert (lam, v) in tree.neighbours(w)
+            if v == tree.top:  # nothing above the top
+                assert all(tree.level[w] < tree.level[v] for _, w in row)
+            else:  # the parent first
+                assert row[0] == (tree.lam[v], tree.parent[v])
+            if v in tree.cut:
+                assert row == [(tree.lam[v], tree.parent[v])]
+                cut_leaves += 1
+    assert cut_leaves >= 30
+
+
 def test_path_selection():
     h = homogeneous_tree(2, 3)
     path = default_path(h)
