@@ -188,6 +188,9 @@ def _cmd_growth(args, argv) -> int:
         # norm ledger is the quantity its theory bounds
         if z != I:
             raise ValueError("the small-norm generator is built at z = i")
+        if args.path_lambda is not None:
+            raise ValueError("the small-norm generator chooses its own path "
+                             "weights; --path-lambda does not apply")
         profile = constructions.small_norm_profile(depths)
     else:
         # the generator's classes at the deepest depth: the subtree below
@@ -462,7 +465,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("growth", help="norm growth profile over depths")
     p.add_argument("--generator", required=True,
                    help="homogeneous:<d> or small-norm")
-    p.add_argument("--path-lambda", default="unit", choices=["unit", "linear"])
+    p.add_argument("--path-lambda", default=None, choices=["unit", "linear"],
+                   help="homogeneous:<d> only; default unit")
     p.add_argument("--z", default="0/1+1/1i")
     p.add_argument("--depths", required=True, help="e.g. 3..15")
     p.set_defaults(fn=_cmd_growth)

@@ -237,13 +237,24 @@ def default_budget(n: int) -> Fraction:
     return Fraction(1, 2 ** (n + 2))
 
 
+def _least_power_of_four(q: Fraction) -> int:
+    """The least k >= 0 with q <= 4^k, for a rational q > 0.  With q = p/d
+    and e = (bits of p) - (bits of d) + 1, 2^(e-2) < q < 2^e, so the k
+    below meets the bound and of the smaller exponents only k - 1 can: one
+    exact integer comparison settles it."""
+    p, d = q.numerator, q.denominator
+    k = max(0, (p.bit_length() - d.bit_length() + 2) // 2)
+    return k - 1 if k and p <= d << 2 * k - 2 else k
+
+
 def build_small_norm_pair(depth: int) -> SmallNormResult:
     """Inductively choose weights (diagonal zero, z = i) so the normalized
     eigen-solution keeps its squared norm below 1 - 2^(-n) on every stage
-    truncation.  Path weights grow by doubling until the new path value is
-    small enough; each path vertex x_n gets one fresh side chain down to
-    level 0 with unit weights inside, whose solution is rescaled against a
-    halving side weight until it fits the side budget."""
+    truncation.  Each path weight is the least power 2^k, k >= 0, that
+    makes the new path value fit its budget; each path vertex x_n gets one
+    fresh side chain down to level 0 with unit weights inside, whose
+    solution is scaled by the greatest side weight 2^(-k), k >= 0, that
+    makes it fit the side budget."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
     z = I
@@ -252,6 +263,7 @@ def build_small_norm_pair(depth: int) -> SmallNormResult:
     free = recurrence_values(lambda k: 1, lambda k: 0, z,
                              GaussianRational.of(1), z, depth)
     chain_mass = Fraction(0)
+    one = Fraction(1)
     # vertex order x0, then per stage x_n and its side chain; x_{n-1}
     # gets its parent and weight at stage n
     ids: list[str] = ["x0"]
@@ -274,39 +286,39 @@ def build_small_norm_pair(depth: int) -> SmallNormResult:
             raise ConstructionError(
                 f"vanishing right-hand side at stage {n}; impossible for a "
                 f"nonvanishing solution")
-        lam_prev = Fraction(1)
-        while r_val.abs2() / lam_prev ** 2 > b_n:
-            lam_prev *= 2
-        lams[prev] = lam_prev
+        r2 = r_val.abs2()
+        k = _least_power_of_four(r2 / b_n)
+        lams[prev] = Fraction(1 << k)
         cur = parent[prev] = len(ids)
         ids.append(f"x{n}")
         parent.append(None)
         levels.append(n)
         lams.append(None)
-        values.append(r_val / lam_prev)
+        values.append(r_val / lams[prev])
+        top2 = r2 / (1 << 2 * k)
         # fresh side chain s_n (level n-1) ... s_n.<n-1> (level 0)
         head = free[n]
         if not head:
             raise ConstructionError(
                 f"vanishing side numerator at stage {n}")
         chain_mass += free[n - 1].abs2()
-        lam_side = Fraction(1)
-        while (lam_side ** 2 * values[cur].abs2() / head.abs2()) * chain_mass > b_n:
-            lam_side /= 2
+        # the side subtree's squared norm at side weight 1
+        unscaled = top2 * chain_mass / head.abs2()
+        k = _least_power_of_four(unscaled / b_n)
+        lam_side = Fraction(1, 1 << k)
+        side_norm = unscaled / (1 << 2 * k)
         scale = lam_side * values[cur] / head
-        side_norm = scale.abs2() * chain_mass
         for j in range(n):
             ids.append(f"s{n}.{j}" if j else f"s{n}")
             parent.append(cur + j)
             levels.append(n - 1 - j)
-            lams.append(lam_side if j == 0 else Fraction(1))
+            lams.append(lam_side if j == 0 else one)
             values.append(scale * free[n - 1 - j])
-        norm = norm + side_norm + values[cur].abs2()
+        norm = norm + side_norm + top2
         ledger.append(NormLedgerRow(
-            n, side_norm, values[cur].abs2(), norm,
-            Fraction(1) - Fraction(1, 2 ** n)))
+            n, side_norm, top2, norm, one - Fraction(1, 2 ** n)))
         prev, below = cur, [prev, cur + 1]
-    lams[prev] = Fraction(1)  # weight of the absent upward edge
+    lams[prev] = one  # weight of the absent upward edge
     tree = TreeTruncation(ids, prev, parent, levels, lams,
                           [Fraction(0)] * len(ids))
     path = default_path(tree)

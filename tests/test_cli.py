@@ -290,6 +290,13 @@ def test_report_writes_integers_past_the_str_digit_limit(capsys):
      "depth must be >= 0"),
     (["--generator", "small-norm", "--depths", "0..3"],
      "profile depths must be positive"),
+    # small-norm chooses its own path weights, so even "unit" is refused
+    (["--generator", "small-norm", "--path-lambda", "linear"],
+     "the small-norm generator chooses its own path weights; --path-lambda "
+     "does not apply"),
+    (["--generator", "small-norm", "--path-lambda", "unit"],
+     "the small-norm generator chooses its own path weights; --path-lambda "
+     "does not apply"),
     # with two errors, the one the shallowest depth meets first is reported
     (["--generator", "homogeneous:0", "--depths=-1..3"],
      "branching d must be >= 1"),
@@ -297,7 +304,8 @@ def test_report_writes_integers_past_the_str_digit_limit(capsys):
     (["--generator", "homogeneous:2", "--depths=-1..3", "--z=1/2"],
      "depth must be >= 0"),
 ], ids=["real-z", "branching-0", "branching-x", "no-branching",
-        "negative-depth", "small-norm-depth-0", "branching-0-negative-depth",
+        "negative-depth", "small-norm-depth-0", "small-norm-path-lambda",
+        "small-norm-unit-path-lambda", "branching-0-negative-depth",
         "branching-0-real-z", "negative-depth-real-z"])
 def test_growth_input_messages(capsys, args, message):
     assert main(["growth", "--depths", "3..4", *args]) == 2

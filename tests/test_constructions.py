@@ -2,6 +2,8 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import cut_shape_corpus, random_corpus, random_lambda
 from treejacobi import constructions
@@ -187,13 +189,90 @@ def test_small_norm_ledger_and_residuals():
 
 
 def test_small_norm_ledger_matches_recomputed_norms():
-    res = build_small_norm_pair(6)
+    # at the growth pool's depth: the ledger reuses each stage's norms
+    res = build_small_norm_pair(30)
     tree, field = res.tree, res.solution
     for row in res.ledger:
         stage_top = tree.index_of(f"x{row.n}")
         recomputed = sum((field.values[v].abs2()
                           for v in tree.descendants(stage_top)), F(0))
         assert recomputed == row.total_norm2
+
+
+@pytest.mark.parametrize("shrink", [1, 7], ids=["default", "budget/7"])
+def test_small_norm_weights_are_the_least_that_fit(monkeypatch, shrink):
+    # read off the finished tree: each stage's new path value and side
+    # subtree fit their budget, and with a weight 2^k (k > 0) on the path
+    # or 2^(-k) (k > 0) on the side they would not fit at 2^(k-1) or
+    # 2^(-(k-1)): the path value and the side values scale as 1/lambda
+    # and lambda, their squared norms by 4.  Every side weight comes out
+    # 1; a budget cut by 7 puts 15 side masses above half their budget,
+    # where a side test against a halved budget would pick 1/2
+    budget = constructions.default_budget
+    monkeypatch.setattr(constructions, "default_budget",
+                        lambda n: budget(n) / shrink)
+    res = build_small_norm_pair(30)
+    tree, values, path = res.tree, res.solution.values, res.path
+    for n in range(1, 31):
+        b_n = budget(n) / shrink
+        x_prev, x = path[n - 1], path[n]
+        (s,) = path.sides[n]
+        top2 = values[x].abs2()
+        side2 = sum((values[v].abs2() for v in tree.descendants(s)), F(0))
+        assert top2 <= b_n and side2 <= b_n
+        assert tree.lam[x_prev] == 1 or 4 * top2 > b_n
+        assert tree.lam[s] == 1 or 4 * side2 > b_n
+        assert tree.lam[x_prev] >= 1 and tree.lam[s] <= 1
+
+
+def _doubled_path_weight(r2: F, b: F) -> F:
+    """The path-weight loop the build once ran: double from 1 until the
+    new path value |R|^2 / lambda^2 fits the budget."""
+    lam_prev = F(1)
+    while r2 / lam_prev ** 2 > b:
+        lam_prev *= 2
+    return lam_prev
+
+
+def _halved_side_weight(top2: F, head2: F, chain_mass: F, b: F) -> F:
+    """The side-weight loop the build once ran: halve from 1 until the
+    rescaled side chain fits the budget."""
+    lam_side = F(1)
+    while (lam_side ** 2 * top2 / head2) * chain_mass > b:
+        lam_side /= 2
+    return lam_side
+
+
+@st.composite
+def _positive_rationals(draw) -> F:
+    """p/d with p and d of up to 10^4 bits, exact powers 4^k (k < 0 too)
+    and their neighbours 4^k (1 +- 2^-200)."""
+    kind = draw(st.sampled_from(["free", "power", "above", "below"]))
+    if kind == "free":
+        p = draw(st.integers(1, 2 ** draw(st.integers(1, 10_000))))
+        return F(p, draw(st.integers(1, 2 ** draw(st.integers(1, 10_000)))))
+    power = F(4) ** draw(st.integers(-5000, 5000))
+    nudge = {"power": 0, "above": 1, "below": -1}[kind] * F(1, 2 ** 200)
+    return power * (1 + nudge)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(_positive_rationals(), st.integers(1, 60), st.integers(1, 8))
+@example(F(1), 1, 1)
+@example(F(1, 3), 5, 2)
+@example(F(4), 1, 1)
+@example(F(4 ** 9), 2, 3)
+@example(F(4 ** 9) * (1 + F(1, 2 ** 200)), 2, 3)
+@example(F(4 ** 9) * (1 - F(1, 2 ** 200)), 2, 3)
+@example(F(2 ** 9_999 + 1, 3), 60, 1)
+def test_least_power_of_four_matches_the_loops(q, n, head2):
+    # q plays |R|^2 / b_n for the path weight and |v(x_n)|^2 M_n /
+    # (|head|^2 b_n) for the side weight, split as the build splits it
+    b = constructions.default_budget(n)
+    k = constructions._least_power_of_four(q)
+    assert k >= 0
+    assert _doubled_path_weight(q * b, b) == 2 ** k
+    assert _halved_side_weight(q * b, F(head2), F(head2), b) == F(1, 2 ** k)
 
 
 def test_small_norm_off_path_weights_are_unit():

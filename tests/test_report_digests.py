@@ -63,6 +63,12 @@ PINNED = [
      "f1ed9e984e35d70b8e03e77208302b4c2590921dd8845e3b9b34687502f575bb"),
     (("growth", "--generator", "small-norm", "--depths", "3..12"), 0,
      "d0569155cc0384ad805a563777f18908466c092721e023bc1c6699b9d1fff652"),
+    # the growth pool's own small-norm op, and one twice as deep: every
+    # weight exponent and squared norm of the build reaches the report
+    (("growth", "--generator", "small-norm", "--depths", "3..30"), 0,
+     "baa1ae60cc2302b6fb751dc0682261405988d0095f940f33a1cf06cee11dad9d"),
+    (("growth", "--generator", "small-norm", "--depths", "1..60"), 0,
+     "08b11b666ec7146e915de956b43fbfdfbdf70fca32873d1e5dee4a5ceb736c65"),
     (("construct", "--example", "real-obstruction", "--depth", "5",
       "--out", "obstruction.json"), 0,
      "a91ae0bd1b97032f4772162701c5476f23138b0ecb99cbfff7876c36f55e0450"),
@@ -114,6 +120,9 @@ PINNED = [
     (("construct", "--example", "small-norm", "--depth", "12", "--out",
       "small12.json"), 0,
      "dd3cb312516d7a1c5bc88419f9996609bf46fbe68a7918324d97ae5db2192a95"),
+    (("construct", "--example", "small-norm", "--depth", "40", "--out",
+      "small40.json"), 0,
+     "1253564688f363f3a7b2f80ca589eec6924360bff195b5f00411c45d08b85e82"),
     (("construct", "--example", "bounded-path", "--depth", "5", "--out",
       "bounded5.json"), 0,
      "21d7e42eaa1463b8c40515d17c5fba9b4b04dbef4cb0692eff0d60a8fa3b883e"),
@@ -131,6 +140,8 @@ WRITTEN = {
         "791d3e99afc56e20378d7c041fed1376052884e803cdbe067e14231f6e78759a",
     "small12.json":
         "31e1c8f81b6d2bfd53ce0a7b8c55973eec8df634aae74bf4c4c4627f63147ea0",
+    "small40.json":
+        "17193041a046d05c641caa8a73bf397fd1466b9197af154794867e180e2ace8a",
     "bounded5.json":
         "bc5f4a64c0831219755443b945482d59b93539074ed59f50943dafafb98436a3",
     "obstruction6.json":
