@@ -31,6 +31,7 @@ TREES = {
     "p30.json": lambda: seeded_path(30).to_json(),
     "unit23.json": lambda: homogeneous_tree(2, 3).to_json(),
     "unit33.json": lambda: homogeneous_tree(3, 3).to_json(),
+    "unit24.json": lambda: homogeneous_tree(2, 4).to_json(),
     "obstruction3.json": lambda: build_real_obstruction(3).tree.to_json(),
 }
 
@@ -132,6 +133,21 @@ PINNED = [
     (("construct", "--example", "pendant-path", "--pendant-rule", "constant",
       "--a", "3/4", "--depth", "8", "--out", "pendant8.json"), 0,
      "4de5e8cdc6f522986dd088f77986bb5c3a8bc8db8be8fd63d95b63d27f037e20"),
+    # the radius check at other branchings: a path (d = 1), and base
+    # weights 1/3 and 1/4
+    (("construct", "--example", "bounded-path", "--d", "1", "--depth", "6",
+      "--out", "bounded1_6.json"), 0,
+     "1be9056358fe9118fb9bbdce2e3b920d8f86758573cc4216360eb8438119a0a3"),
+    (("construct", "--example", "bounded-path", "--d", "9", "--depth", "4",
+      "--out", "bounded9_4.json"), 0,
+     "3c63eefde1d9453c5a808548e6ed24c90b4de262cebc5d42c2c234f61c1c5daa"),
+    (("construct", "--example", "bounded-path", "--d", "16", "--depth", "3",
+      "--out", "bounded16_3.json"), 0,
+     "6b39b15aeb3c7219119d1bf1b10d27bdfb4eeca3ba1ea5dc563582accef43b12"),
+    # repeated classes with zero pivots at 0, counted by multiplicity in
+    # `negative_count_consistency` (unit33 is pinned above)
+    (("verify-all", "--tree", "unit24.json"), 0,
+     "8af90a4af55bd4b9cc6e3fbfcd08eb7e67da92963c8d6be017dcbffb9f8902c7"),
 ]
 
 # the sha256 of each file a pinned op writes with --out
@@ -148,6 +164,12 @@ WRITTEN = {
         "2ba86a055c5876cdce57f7a0eeea6385339ea47ce0c587f416d89903caac703c",
     "pendant8.json":
         "d1dcc13219b425b8970a787cd1d15d80bd54dd534414d20866f169b76446358f",
+    "bounded1_6.json":
+        "8cd037eab9cc8798efedab88dcc1597eaf2f0b7e5ba5c25097ee2728bf927d10",
+    "bounded9_4.json":
+        "8367c083f020385dd6d1b692aecc34943e2a9f479021d885206c4ab63bbab1dd",
+    "bounded16_3.json":
+        "85f885315d5b8a884024c20cc70d567cc42764dd5f34b80ddfcccdf472226e80",
 }
 
 
