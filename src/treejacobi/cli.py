@@ -238,9 +238,9 @@ def _cmd_classical(args, argv) -> int:
         if not results["kernel_residuals_zero"]:
             failures.append("diagonal-free kernel vector residual nonzero")
     elif args.rule == "geometric-weights":
-        fam = classical1d.classical(
-            lambda n: parse_rational(args.q) ** (n + 1), Fraction(0),
-            args.depth + 2)
+        q = parse_rational(args.q)
+        fam = classical1d.classical(lambda n: q ** (n + 1), Fraction(0),
+                                    args.depth + 2)
         results = {"rule": "geometric-weights",
                    "lambdas": [fam.lam_at(n) for n in range(args.depth + 1)]}
     else:

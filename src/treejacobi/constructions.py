@@ -35,9 +35,9 @@ from .exactmath import GaussianRational, I
 from .solutions import (GrowthProfile, PropagationResult, SolutionField,
                         SolutionPair, nested_profile, propagate_real,
                         solve_pair, uniqueness_dimension)
-from .spectra import tree_inertia, eigenvalues_outside
+from .spectra import tree_inertia
 from .treecore import (PathSelection, TreeTruncation, decorated_path_tree,
-                       default_path, homogeneous_tree)
+                       default_path, homogeneous_classes, homogeneous_tree)
 
 # ---------------------------------------------------------------------
 # positivity certificates
@@ -382,11 +382,13 @@ def build_path_perturbed_homogeneous(d: int, depth: int
 
 def bounded_base_radius_ok(d: int, depths) -> bool:
     """Exact check that the homogeneous base matrix truncations have no
-    eigenvalue outside [-2, 2] at each depth."""
+    eigenvalue outside [-2, 2] at each depth: the base matrix is w J_1,
+    so J_1, on its unit-weight classes, has none outside [-2/w, 2/w]."""
     w = _base_weight(d)
+    lo, hi = -2 / w, 2 / w
     for depth in depths:
-        base = homogeneous_tree(d, depth, lam=w, beta=Fraction(0))
-        if eigenvalues_outside(base, Fraction(-2), Fraction(2)) != 0:
+        table = homogeneous_classes(d, depth)[0]
+        if tree_inertia(table, lo).below or tree_inertia(table, hi).above:
             return False
     return True
 

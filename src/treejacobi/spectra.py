@@ -13,8 +13,8 @@ family recursion and serves as the oracle for the spectral factorization:
 children of t).  Eigenvalue counting against rational thresholds is done
 two ways: Descartes' rule of signs on the characteristic polynomial
 (negative eigenvalues only), and the signs of the pivots of the tree
-elimination (`ClassTable.ratios` on `TreeTruncation.classes`), O(n) per
-threshold.
+elimination (`ClassTable.ratios`), one step per class of identical
+subtrees per threshold, each counted times the class's multiplicity.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .exactmath import ONE, Poly, RootInterval, X, isolate_real_roots, poly_gcd
-from .treecore import TreeTruncation
+from .treecore import ClassTable, TreeTruncation
 from .treepoly import PolyFamily
 
 
@@ -150,43 +150,41 @@ class Inertia:
     above: int
 
 
-def tree_inertia(tree: TreeTruncation, sigma: Fraction) -> Inertia:
+def tree_inertia(tree: TreeTruncation | ClassTable,
+                 sigma: Fraction) -> Inertia:
     """Inertia of (J - sigma I) by Sylvester's law: `below`/`at`/`above`
-    are the numbers of eigenvalues of the truncation below, at and above
-    sigma, exact and with multiplicity.  The count for the truncation
-    below a vertex x is `tree_inertia(tree.subtree(x), sigma)`.
+    count the eigenvalues below, at and above sigma, exactly and with
+    multiplicity.  `tree` is a truncation or a `ClassTable` whose last
+    class is the top; below a vertex x, count `tree.subtree(x)`.
 
-    The ratio r(v) of v's class (`ClassTable.ratios` of
-    `TreeTruncation.classes`) at sigma has the sign of the pivot of
-    sigma - J, so r(v) > 0 counts below and r(v) < 0 above.  A zero pivot
-    (r = None) below the top pairs with its parent, whose pivot turns
-    infinite (r = 0): the 2x2 block has one eigenvalue each side of
-    sigma, and each further zero-pivot child of the same parent is
-    decoupled and counts at sigma.  A zero pivot at the top counts at
-    sigma.
-    """
-    table, cls = tree.classes
+    One walk from the top class down carries each class's multiplicity
+    m.  The ratio r(c) of `ClassTable.ratios` at sigma has the sign of
+    the pivot of sigma - J, so r(c) > 0 counts m below and r(c) < 0 m
+    above.  A zero pivot (r = None) below the top pairs with its parent,
+    whose pivot turns infinite (r = 0): the 2x2 block has one eigenvalue
+    each side of sigma, and each further zero-pivot child of the same
+    parent is decoupled and counts at sigma.  A zero pivot at the top
+    counts at sigma."""
+    table = tree.classes[0] if isinstance(tree, TreeTruncation) else tree
     ratio = table.ratios(Fraction(sigma))
+    top = len(ratio) - 1
+    mult = [0] * top + [1]
     below = zero = above = 0
-    for v in range(tree.size):
-        r = ratio[cls[v]]
+    for c in range(top, -1, -1):
+        r, m = ratio[c], mult[c]
+        for e in table.kids[c]:
+            mult[e] += m
         if r is None:
-            zero += v == tree.top
+            zero += c == top
         elif r == 0:
-            below += 1
-            above += 1
-            zero += sum(ratio[cls[c]] is None for c in tree.children[v]) - 1
+            below += m
+            above += m
+            zero += m * (sum(ratio[e] is None for e in table.kids[c]) - 1)
         elif r > 0:
-            below += 1
+            below += m
         else:
-            above += 1
+            above += m
     return Inertia(below=below, at=zero, above=above)
-
-
-def eigenvalues_outside(tree: TreeTruncation, lo: Fraction, hi: Fraction) -> int:
-    """Eigenvalue count (with multiplicity) outside the closed interval."""
-    return (tree_inertia(tree, Fraction(lo)).below
-            + tree_inertia(tree, Fraction(hi)).above)
 
 
 # ---------------------------------------------------------------------

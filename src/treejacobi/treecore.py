@@ -287,34 +287,33 @@ def build_from_spec(doc) -> TreeTruncation:
     for row in rows:
         if not isinstance(row, dict) or "id" not in row:
             raise ParseError(f"bad vertex row: {row!r}")
-        ids.append(str(row["id"]))
         parent_ids.append(row.get("parent"))
         try:
+            if type(row["id"]) is not str:
+                raise ValueError(f"id must be a string, not {row['id']!r}")
             if type(row["level"]) is not int:
                 raise ValueError(f"level must be an integer, not "
                                  f"{row['level']!r}")
+            if type(row.get("cut", False)) is not bool:
+                raise ValueError(f"cut must be a boolean, not {row['cut']!r}")
+            ids.append(row["id"])
             level.append(row["level"])
             beta.append(parse_rational(row["beta"]))
             lam.append(parse_rational(row["lambda"]) if "parent" in row
                        else top_lambda)
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad vertex row {row.get('id')!r}: {exc}") from None
-        cut.append(bool(row.get("cut", False)))
+        cut.append(row.get("cut", False))
     index = {name: i for i, name in enumerate(ids)}
     # ids are strings; a reference of any other JSON type (a list or an
     # object is not even hashable) names no vertex
     if not isinstance(top_id, str) or top_id not in index:
         raise ValidationError(f"top vertex {top_id!r} not among the vertices")
-    parent = []
     for name, p in zip(ids, parent_ids):
-        if p is None:
-            if name != top_id:
-                raise ValidationError(f"vertex {name!r} has no parent and is not top")
-            parent.append(None)
-        else:
-            if not isinstance(p, str) or p not in index:
-                raise ValidationError(f"vertex {name!r} has unknown parent {p!r}")
-            parent.append(index[p])
+        if p is not None and (not isinstance(p, str) or p not in index):
+            raise ValidationError(f"vertex {name!r} has unknown parent {p!r}")
+    # a vertex with no parent that is not the top is left to `_validate`
+    parent = [None if p is None else index[p] for p in parent_ids]
     return TreeTruncation(ids, index[top_id], parent, level, lam, beta,
                           [i for i, c in enumerate(cut) if c])
 
@@ -393,7 +392,7 @@ def homogeneous_classes(d: int, depth: int, spine_lam=Fraction(1)
     built without the tree.  Returns the table and the spine classes
     x_0, ..., x_depth; the first child of x_k is x_{k-1}, the others
     are the off-spine class of level k - 1.  At most 2 (depth + 1)
-    classes, and none off the spine when d = 1."""
+    classes, none off the spine when d = 1, and x_depth's is the last."""
     if d < 1:
         raise ValueError("branching d must be >= 1")
     if depth < 0:

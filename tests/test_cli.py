@@ -198,6 +198,12 @@ NUMERIC_LAMBDA = STAR.replace('"lambda": "1/1", "beta": "0/1"},\n  {"id": "b"',
 STRING_LEVEL = STAR.replace('"level": 0, "lambda": "1/1", "beta": "0/1"},\n  {"id": "b"',
                             '"level": "0", "lambda": "1/1", "beta": "0/1"},\n  {"id": "b"')
 BOOL_LEVEL = STAR.replace('"level": 1, "beta"', '"level": true, "beta"')
+# an id is a JSON string and a cut flag a JSON boolean, nothing else
+NUMERIC_ID = STAR.replace('{"id": "a"', '{"id": 5')
+STRING_CUT = STAR.replace('"id": "a", "parent": "x", "level": 0,',
+                          '"id": "a", "parent": "x", "level": 0, "cut": "false",')
+NUMERIC_CUT = STAR.replace('"id": "a", "parent": "x", "level": 0,',
+                           '"id": "a", "parent": "x", "level": 0, "cut": 1,')
 
 
 @pytest.mark.parametrize("doc, args", [
@@ -212,6 +218,9 @@ BOOL_LEVEL = STAR.replace('"level": 1, "beta"', '"level": true, "beta"')
     (NUMERIC_LAMBDA, ["verify-all"]),
     (STRING_LEVEL, ["verify-all"]),
     (BOOL_LEVEL, ["verify-all"]),
+    (NUMERIC_ID, ["verify-all"]),
+    (STRING_CUT, ["verify-all"]),
+    (NUMERIC_CUT, ["verify-all"]),
     (None, ["growth", "--generator", "homogeneous:2", "--depths", "5..3"]),
     (None, ["classical", "--rule", "geometric", "--depth", "-1"]),
     (None, ["growth", "--generator", "homogeneous:2", "--depths", "3..4",
@@ -244,7 +253,8 @@ BOOL_LEVEL = STAR.replace('"level": 1, "beta"', '"level": true, "beta"')
             "1" * 5000 + "/1", "--depth", "1"]),
 ], ids=["beta-1/0", "numeric-top_lambda", "z-1/0", "unknown-at",
         "unknown-target", "width-0", "width-negative", "numeric-beta",
-        "numeric-lambda", "string-level", "bool-level", "empty-depths",
+        "numeric-lambda", "string-level", "bool-level", "numeric-id",
+        "string-cut", "numeric-cut", "empty-depths",
         "negative-classical-depth", "growth-real-z", "growth-branching-0",
         "growth-branching-x", "empty-width", "empty-spectrum-at",
         "empty-poly-at", "empty-target", "empty-solve-path",
@@ -331,6 +341,23 @@ def test_growth_builds_no_tree(capsys, monkeypatch):
     assert built == []
     assert [row["size"] for row in report["results"]["rows"]] == [
         15, 31, 63, 127]
+
+
+def test_bounded_path_builds_one_tree(capsys, monkeypatch):
+    # the radius check counts on classes: the construction's own tree is
+    # the only truncation
+    sizes = []
+    init = TreeTruncation.__init__
+
+    def counted(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append(self.size)
+
+    monkeypatch.setattr(TreeTruncation, "__init__", counted)
+    code, report = run(capsys, ["construct", "--example", "bounded-path",
+                                "--depth", "5"])
+    assert code == 0 and report["results"]["base_radius_within_2"]
+    assert sizes == [1365]
 
 
 def test_growth_on_a_deep_path(capsys):

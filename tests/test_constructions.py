@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -23,9 +24,10 @@ from treejacobi.spectra import (char_poly, count_negative_eigenvalues,
                                 tree_inertia)
 from treejacobi.treecore import (ClassTable, TreeTruncation,
                                  build_from_spec, default_path,
-                                 homogeneous_tree, path_tree)
+                                 homogeneous_classes, homogeneous_tree,
+                                 path_tree)
 from treejacobi.treepoly import family
-from tree_elimination_oracle import certificate_oracle
+from tree_elimination_oracle import certificate_oracle, pivot_inertia
 
 
 def make_positive_definite(tree: TreeTruncation) -> TreeTruncation:
@@ -349,8 +351,52 @@ def test_base_radius_bound():
 def test_base_radius_bound_fails_when_weights_too_big():
     # unit weights on a binary tree push eigenvalues past 2
     h = homogeneous_tree(2, 4)
-    from treejacobi.spectra import eigenvalues_outside
-    assert eigenvalues_outside(h, F(-2), F(2)) > 0
+    assert tree_inertia(h, F(-2)).below + tree_inertia(h, F(2)).above > 0
+
+
+def _outside_on_vertices(d, depth, t):
+    """Eigenvalues of the base truncation outside [-t, t]: the radius check
+    as it was, on the vertex tree with weights d^(-1/2), counted vertex by
+    vertex (`pivot_inertia`)."""
+    base = homogeneous_tree(d, depth, lam=F(1, math.isqrt(d)), beta=F(0))
+    return pivot_inertia(base, -t).below + pivot_inertia(base, t).above
+
+
+def _outside_on_classes(d, depth, t):
+    """The same count on the unit-weight classes, against +-t / w."""
+    table = homogeneous_classes(d, depth)[0]
+    s = t * math.isqrt(d)
+    return tree_inertia(table, -s).below + tree_inertia(table, s).above
+
+
+@pytest.mark.parametrize("d", [1, 4, 9, 16, 25])
+def test_base_radius_agrees_with_the_vertex_trees(d):
+    # depths up to 5 whose vertex tree has at most 5,000 vertices
+    depths = [k for k in range(6)
+              if sum(d ** j for j in range(k + 1)) <= 5000]
+    assert all(_outside_on_vertices(d, k, F(2)) == 0 for k in depths)
+    assert bounded_base_radius_ok(d, depths)
+    for k in depths:
+        for t in (F(1), F(3, 2), F(2)):
+            assert _outside_on_classes(d, k, t) == _outside_on_vertices(d, k, t)
+    # the tighter thresholds say no: the top eigenvalue at depth k is
+    # 2 cos(pi / (k + 2))
+    assert any(_outside_on_classes(d, k, F(1)) for k in depths)
+    if max(depths) >= 3:
+        assert any(_outside_on_classes(d, k, F(3, 2)) for k in depths)
+
+
+def test_base_radius_builds_no_tree(monkeypatch):
+    built = []
+    init = TreeTruncation.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TreeTruncation, "__init__", counted)
+    assert bounded_base_radius_ok(4, range(2, 6))
+    assert built == []
 
 
 def test_classical_window_value():

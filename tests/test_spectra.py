@@ -12,11 +12,11 @@ from treejacobi.exactmath import (ONE, Poly, X, count_real_roots,
                                   isolate_real_roots,
                                   square_free_decomposition)
 from treejacobi.spectra import (char_poly, count_negative_eigenvalues,
-                                eigenvalues_outside,
                                 eigenvector_witness_report,
                                 spectral_description, tree_inertia,
                                 verify_spectral_identity)
-from treejacobi.treecore import build_from_spec, homogeneous_tree, path_tree
+from treejacobi.treecore import (build_from_spec, homogeneous_classes,
+                                 homogeneous_tree, path_tree)
 from treejacobi.treepoly import family
 from sturm_oracle import sturm_negative_count
 from tree_elimination_oracle import (pivot_inertia, tree_solve,
@@ -210,11 +210,63 @@ def test_tree_inertia_property(data):
     assert inertia.below + inertia.at + inertia.above == p.degree
 
 
+# the classes `homogeneous_classes` builds, unit or linear weights on the
+# spine, against the vertex tree carrying the same rule on the all-zero
+# addresses
+SPINE_RULES = {"unit": lambda k: F(1), "linear": lambda k: F(k + 1)}
+CLASS_CASES = [(d, depth, rule) for d in range(1, 5) for depth in range(7)
+               for rule in SPINE_RULES]
+
+
+@functools.cache
+def _class_case(i):
+    """The class table, the vertex tree, and every rational sigma where a
+    pivot vanishes.  The weights are integers, so every subtree's
+    characteristic polynomial is monic over Z and its rational roots are
+    integers, inside the Gershgorin bound (d + 1)(depth + 1)."""
+    d, depth, rule = CLASS_CASES[i]
+    spine = SPINE_RULES[rule]
+    table, spine_classes = homogeneous_classes(d, depth, spine)
+    assert spine_classes[-1] == len(table.kids) - 1  # the top is last
+    tree = homogeneous_tree(
+        d, depth, lam=lambda lv, addr: F(1) if any(addr) else spine(lv))
+    bound = (d + 1) * (depth + 1)
+    pool = [F(s) for s in range(-bound, bound + 1)
+            if None in table.ratios(F(s))]
+    return table, tree, pool
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.data())
+def test_class_table_inertia_property(data):
+    i = data.draw(st.integers(0, len(CLASS_CASES) - 1))
+    table, tree, pool = _class_case(i)
+    sigmas = st.fractions(-4, 4, max_denominator=6)
+    if pool:
+        sigmas = st.sampled_from(pool) | sigmas
+    sigma = data.draw(sigmas)
+    inertia = tree_inertia(table, sigma)
+    assert inertia == tree_inertia(tree, sigma) == pivot_inertia(tree, sigma)
+    assert inertia.below + inertia.at + inertia.above == tree.size
+
+
+def test_class_table_inertia_at_every_zero_pivot():
+    # repeated classes under a zero pivot: at 0 the unit binary tree's
+    # leaves have zero pivots and their 2^(depth-1) parents pair with them
+    assert sum(len(_class_case(i)[2]) for i in range(len(CLASS_CASES))) > 100
+    for i, case in enumerate(CLASS_CASES):
+        table, tree, pool = _class_case(i)
+        for sigma in pool:
+            assert tree_inertia(table, sigma) == pivot_inertia(tree, sigma), \
+                (case, sigma)
+
+
 def test_inertia_zero_pivot_path():
     # star at sigma = 0 walks through the zero-pivot pairing
     assert tree_inertia(STAR, F(0)) == tree_inertia(STAR, F(0)).__class__(1, 1, 1)
-    assert eigenvalues_outside(STAR, F(-2), F(2)) == 0
-    assert eigenvalues_outside(STAR, F(-1), F(1)) == 2
+    # eigenvalues -sqrt 2, 0, sqrt 2: none outside [-2, 2], two outside [-1, 1]
+    assert tree_inertia(STAR, F(-2)).below + tree_inertia(STAR, F(2)).above == 0
+    assert tree_inertia(STAR, F(-1)).below + tree_inertia(STAR, F(1)).above == 2
 
 
 def test_identity_random_corpus():

@@ -135,6 +135,36 @@ def test_validation_errors():
         build_from_spec('{"vertices": []}')
 
 
+def _leaf_under_x(extra: str) -> str:
+    return ('{"vertices": [{"parent": "x", "level": 0, "lambda": "1/1", '
+            '"beta": "0/1", ' + extra + '}, {"id": "x", "level": 1, '
+            '"beta": "0/1"}], "top": "x", "top_lambda": "1/1"}')
+
+
+@pytest.mark.parametrize("extra, message", [
+    ('"id": 5', "bad vertex row 5: id must be a string, not 5"),
+    ('"id": null', "bad vertex row None: id must be a string, not None"),
+    ('"id": "a", "cut": "false"',
+     "bad vertex row 'a': cut must be a boolean, not 'false'"),
+    ('"id": "a", "cut": 1', "bad vertex row 'a': cut must be a boolean, not 1"),
+    ('"id": "a", "cut": null',
+     "bad vertex row 'a': cut must be a boolean, not None"),
+], ids=["numeric-id", "null-id", "string-cut", "numeric-cut", "null-cut"])
+def test_vertex_row_types(extra, message):
+    with pytest.raises(ParseError) as exc:
+        build_from_spec(_leaf_under_x(extra))
+    assert str(exc.value) == message
+
+
+def test_vertex_without_parent_is_rejected_by_validation():
+    # a cut flag may also be false; the parentless leaf is named by the
+    # truncation's own validation
+    assert build_from_spec(_leaf_under_x('"id": "a", "cut": false')).cut == set()
+    with pytest.raises(ValidationError) as exc:
+        build_from_spec(_leaf_under_x('"id": "a"').replace('"parent": "x", ', ""))
+    assert str(exc.value) == "vertex 'a' has no parent and is not top"
+
+
 def test_cut_leaf_allowed_with_flag():
     t = build_from_spec('{"vertices": ['
                         '{"id": "a", "parent": "x", "level": 1, "lambda": "1/1", "beta": "0/1", "cut": true},'
