@@ -1,7 +1,7 @@
 """Executable versions of the explicit matrix constructions.
 
-Four builders, each returning the finished truncation together with the
-exact evidence its defining property demands:
+Four builders, each returning its truncation (small-norm's expanded on
+first use) with the exact evidence its defining property demands:
 
 * ``build_small_norm_pair``          -- an inductive choice of weights at
   z = i keeping the solution's squared norm below 1 - 2^(-n) at every
@@ -28,6 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from .classical1d import classical, pq_values, recurrence_values
 from .errors import ConstructionError, PositivityError
@@ -208,21 +209,49 @@ class NormLedgerRow:
     total_norm2: Fraction
     bound: Fraction
 
-    @property
-    def ok(self) -> bool:
-        return self.total_norm2 <= self.bound
-
 
 @dataclass
 class SmallNormResult:
-    tree: TreeTruncation
-    solution: SolutionField
-    path: PathSelection
+    """The construction in O(depth) numbers: path values v(x_n) and weights
+    lambda_{x_n} (1 at the top), per stage n >= 1 the weight lambda_{s_n}
+    and scale sigma_n of the chain s_n below x_n (None at n = 0), and the
+    unit chain f at z = i, s_n holding sigma_n f_m at level m.  `tree`,
+    `path` and `solution` expand it into vertices on first use."""
+
+    values: list[GaussianRational]
+    path_lam: list[Fraction]
+    side_lam: list
+    scale: list
+    free: list[GaussianRational]
     ledger: list[NormLedgerRow]
 
     @property
     def ok(self) -> bool:
-        return all(row.ok for row in self.ledger)
+        return all(row.total_norm2 <= row.bound for row in self.ledger)
+
+    @cached_property
+    def tree(self) -> TreeTruncation:
+        """x_0, then per stage x_n, s_n, s_n.1, ..., s_n.<n-1> (level 0)."""
+        top = len(self.values) - 1
+        ids, parent, levels, lams = ["x0"], [1], [0], [self.path_lam[0]]
+        for n in range(1, top + 1):
+            at = len(ids)  # x_n; after the loop, the top x_depth
+            ids += [f"x{n}", f"s{n}", *(f"s{n}.{j}" for j in range(1, n))]
+            parent += [at + n + 1 if n < top else None, *range(at, at + n)]
+            levels += range(n, -1, -1)
+            lams += [self.path_lam[n], self.side_lam[n], *[1] * (n - 1)]
+        return TreeTruncation(ids, at, parent, levels, lams, [0] * len(ids))
+
+    @cached_property
+    def path(self) -> PathSelection:
+        return default_path(self.tree)
+
+    @cached_property
+    def solution(self) -> SolutionField:
+        values = [w for n, v in enumerate(self.values) for w in
+                  (v, *(self.scale[n] * f for f in reversed(self.free[:n])))]
+        return SolutionField(self.tree, I, dict(enumerate(values)),
+                             frozenset(self.tree.interior()), self.path)
 
 
 def default_budget(n: int) -> Fraction:
@@ -254,81 +283,75 @@ def build_small_norm_pair(depth: int) -> SmallNormResult:
     makes the new path value fit its budget; each path vertex x_n gets one
     fresh side chain down to level 0 with unit weights inside, whose
     solution is scaled by the greatest side weight 2^(-k), k >= 0, that
-    makes it fit the side budget."""
+    makes it fit the side budget.
+
+    Stage n reads only lambda_{x_{n-2}} v(x_{n-2}) and lambda_{s_{n-1}}
+    sigma_{n-1} f_{n-2}, so no vertex is built (`SmallNormResult`)."""
     if depth < 1:
         raise ValueError("depth must be >= 1")
-    z = I
-    # classical values at z with unit weights and zero diagonal: stage n's
-    # side chain carries free[:n], bottom first, and its head is free[n]
-    free = recurrence_values(lambda k: 1, lambda k: 0, z,
-                             GaussianRational.of(1), z, depth)
-    chain_mass = Fraction(0)
-    one = Fraction(1)
-    # vertex order x0, then per stage x_n and its side chain; x_{n-1}
-    # gets its parent and weight at stage n
-    ids: list[str] = ["x0"]
-    parent: list[int | None] = [None]
-    levels: list[int] = [0]
-    lams: list[Fraction | None] = [None]
+    # the unit chain at z: weights 1, diagonal 0, f_0 = 1 and f_1 = z
+    free = recurrence_values(lambda k: 1, lambda k: 0, I,
+                             GaussianRational.of(1), I, depth)
     values = [GaussianRational(Fraction(1, 2), Fraction(0))]
-    norm = values[0].abs2()
-    ledger: list[NormLedgerRow] = []
-    prev = 0  # x_{n-1}
-    below: list[int] = []  # the children of x_{n-1}
+    path_lam, side_lam, scale, ledger, below = [], [None], [None], [], []
+    norm, chain_mass = values[0].abs2(), Fraction(0)
     for n in range(1, depth + 1):
         b_n = default_budget(n)
         # eigen-equation at x_{n-1}: lambda_{x_{n-1}} v(x_n) = R, where R
-        # collects z v(x_{n-1}) minus all already-fixed neighbor terms
-        r_val = z * values[prev]
-        for y in below:
-            r_val = r_val - lams[y] * values[y]
+        # is z v(x_{n-1}) minus the terms `below` of x_{n-2} and s_{n-1}
+        r_val = GaussianRational.product_difference(I, values[n - 1], below)
         if not r_val:
-            raise ConstructionError(
-                f"vanishing right-hand side at stage {n}; impossible for a "
-                f"nonvanishing solution")
+            raise ConstructionError(f"vanishing right-hand side at stage {n}; "
+                                    "impossible for a nonvanishing solution")
         r2 = r_val.abs2()
         k = _least_power_of_four(r2 / b_n)
-        lams[prev] = Fraction(1 << k)
-        cur = parent[prev] = len(ids)
-        ids.append(f"x{n}")
-        parent.append(None)
-        levels.append(n)
-        lams.append(None)
-        values.append(r_val / lams[prev])
+        path_lam.append(Fraction(1 << k))
+        values.append(r_val / path_lam[n - 1])
         top2 = r2 / (1 << 2 * k)
-        # fresh side chain s_n (level n-1) ... s_n.<n-1> (level 0)
         head = free[n]
         if not head:
-            raise ConstructionError(
-                f"vanishing side numerator at stage {n}")
+            raise ConstructionError(f"vanishing side numerator at stage {n}")
         chain_mass += free[n - 1].abs2()
         # the side subtree's squared norm at side weight 1
         unscaled = top2 * chain_mass / head.abs2()
         k = _least_power_of_four(unscaled / b_n)
-        lam_side = Fraction(1, 1 << k)
+        side_lam.append(Fraction(1, 1 << k))
         side_norm = unscaled / (1 << 2 * k)
-        scale = lam_side * values[cur] / head
-        for j in range(n):
-            ids.append(f"s{n}.{j}" if j else f"s{n}")
-            parent.append(cur + j)
-            levels.append(n - 1 - j)
-            lams.append(lam_side if j == 0 else one)
-            values.append(scale * free[n - 1 - j])
+        scale.append(side_lam[n] * values[n] / head)
         norm = norm + side_norm + top2
         ledger.append(NormLedgerRow(
-            n, side_norm, top2, norm, one - Fraction(1, 2 ** n)))
-        prev, below = cur, [prev, cur + 1]
-    lams[prev] = one  # weight of the absent upward edge
-    tree = TreeTruncation(ids, prev, parent, levels, lams,
-                          [Fraction(0)] * len(ids))
-    path = default_path(tree)
-    fld = SolutionField(tree, z, dict(enumerate(values)),
-                        frozenset(tree.interior()), path)
-    if not fld.verify():
+            n, side_norm, top2, norm, 1 - Fraction(1, 2 ** n)))
+        below = [(path_lam[n - 1], values[n - 1]),
+                 (side_lam[n] * scale[n], free[n - 1])]
+    path_lam.append(Fraction(1))  # weight of the absent upward edge
+    res = SmallNormResult(values, path_lam, side_lam, scale, free, ledger)
+    if not _equations_hold(res):
         raise ConstructionError("constructed solution has a nonzero residual")
-    if not all(row.ok for row in ledger):
+    if not res.ok:
         raise ConstructionError("norm ledger bound violated")
-    return SmallNormResult(tree, fld, path, ledger)
+    return res
+
+
+def _equations_hold(res: SmallNormResult) -> bool:
+    """Whether the eigen-equation at z = i holds at every vertex of
+    `res.tree` but the top, by 3 depth equations on the compact form:
+    (a) i f_m = f_{m+1} + f_{m-1} for m < depth, with f_{-1} = 0;
+    (b) sigma_n f_n = lambda_{s_n} v(x_n) for 1 <= n <= depth; (c) the
+    equation at x_k for k < depth, the head of s_k holding sigma_k f_{k-1}.
+    On s_n (lambda 1 below the head, beta 0, sigma_n f_m at level m) the
+    residual at level m < n - 1 is sigma_n (a)_m, the head's sigma_n
+    (a)_{n-1} + (b)_n.  As sigma_n != 0 (the build refuses a zero R and a
+    zero head), the vertex equations give (a)-(c) back, but only the sum
+    of the two that read f_depth, (a)_{depth-1} and (b)_depth."""
+    diff, f, v = GaussianRational.product_difference, res.free, res.values
+    lam, side, sigma, below = res.path_lam, res.side_lam, res.scale, []
+    for k in range(len(v) - 1):
+        if (diff(I, f[k], [(1, f[k + 1]), (1, f[k - 1] if k else 0)])
+                or diff(I, v[k], [(lam[k], v[k + 1]), *below])
+                or diff(sigma[k + 1], f[k + 1], [(side[k + 1], v[k + 1])])):
+            return False
+        below = [(lam[k], v[k]), (side[k + 1] * sigma[k + 1], f[k])]
+    return True
 
 
 # ---------------------------------------------------------------------
@@ -561,21 +584,18 @@ def _kill_beta(t: TreeTruncation) -> tuple[Fraction, int]:
 
 
 def small_norm_profile(depths) -> GrowthProfile:
-    """Norm profile of the norm-capped construction, measured on its own
-    solution: stages are prefixes of deeper builds, so one build at the
-    maximum depth gives every row, and stage n adds x_n, its side chain
-    and the ledger's side and top norms."""
+    """Norm profile of the norm-capped construction, read off its compact
+    form with no vertex built: stages are prefixes of deeper builds, so
+    one build at the maximum depth gives every row; stage n adds x_n and
+    its chain (1 + n vertices) and the ledger's side and top norms."""
     depths = list(depths)
     if not depths or min(depths) < 1:
         raise ValueError("profile depths must be positive")
     res = build_small_norm_pair(max(depths))
-    tree, path = res.tree, res.path
-    sizes = [1 + sum(len(tree.descendants(s)) for s in sides)
-             for sides in path.sides]
-    norms = [res.solution.values[path[0]].abs2()]
+    norms = [res.values[0].abs2()]
     norms += [row.side_norm2 + row.top_value_norm2 for row in res.ledger]
-    return nested_profile([tree.lam[x] for x in path.vertices], depths,
-                          sizes, norms)
+    return nested_profile(res.path_lam, depths,
+                          [1 + n for n in range(len(norms))], norms)
 
 
 # ---------------------------------------------------------------------

@@ -299,8 +299,10 @@ def build_from_spec(doc) -> TreeTruncation:
             ids.append(row["id"])
             level.append(row["level"])
             beta.append(parse_rational(row["beta"]))
-            lam.append(parse_rational(row["lambda"]) if "parent" in row
-                       else top_lambda)
+            orphan = parent_ids[-1] is None  # "parent" absent or null
+            if orphan and row["id"] == top_id and "lambda" in row:
+                raise ValueError("the top takes 'top_lambda', not 'lambda'")
+            lam.append(top_lambda if orphan else parse_rational(row["lambda"]))
         except (KeyError, ValueError) as exc:
             raise ParseError(f"bad vertex row {row.get('id')!r}: {exc}") from None
         cut.append(row.get("cut", False))

@@ -12,6 +12,7 @@ from treejacobi import spectra
 from treejacobi.cli import build_parser, main
 from conftest import h23
 from treejacobi.reports import REPORT_SCHEMA, to_jsonable
+from treejacobi.solutions import SolutionField
 from treejacobi.treecore import ClassTable, TreeTruncation, build_from_spec
 from treejacobi.treepoly import family
 
@@ -204,6 +205,12 @@ STRING_CUT = STAR.replace('"id": "a", "parent": "x", "level": 0,',
                           '"id": "a", "parent": "x", "level": 0, "cut": "false",')
 NUMERIC_CUT = STAR.replace('"id": "a", "parent": "x", "level": 0,',
                            '"id": "a", "parent": "x", "level": 0, "cut": 1,')
+# the top row takes its weight from top_lambda, whether its "parent" key
+# is absent or null; a "lambda" on it is refused
+NULL_PARENT = STAR.replace('{"id": "x", "level": 1,',
+                           '{"id": "x", "parent": null, "level": 1,')
+TOP_ROW_LAMBDA = STAR.replace('{"id": "x", "level": 1,',
+                                 '{"id": "x", "level": 1, "lambda": "5/1",')
 
 
 @pytest.mark.parametrize("doc, args", [
@@ -221,6 +228,7 @@ NUMERIC_CUT = STAR.replace('"id": "a", "parent": "x", "level": 0,',
     (NUMERIC_ID, ["verify-all"]),
     (STRING_CUT, ["verify-all"]),
     (NUMERIC_CUT, ["verify-all"]),
+    (TOP_ROW_LAMBDA, ["verify-all"]),
     (None, ["growth", "--generator", "homogeneous:2", "--depths", "5..3"]),
     (None, ["classical", "--rule", "geometric", "--depth", "-1"]),
     (None, ["growth", "--generator", "homogeneous:2", "--depths", "3..4",
@@ -254,7 +262,7 @@ NUMERIC_CUT = STAR.replace('"id": "a", "parent": "x", "level": 0,',
 ], ids=["beta-1/0", "numeric-top_lambda", "z-1/0", "unknown-at",
         "unknown-target", "width-0", "width-negative", "numeric-beta",
         "numeric-lambda", "string-level", "bool-level", "numeric-id",
-        "string-cut", "numeric-cut", "empty-depths",
+        "string-cut", "numeric-cut", "top-row-lambda", "empty-depths",
         "negative-classical-depth", "growth-real-z", "growth-branching-0",
         "growth-branching-x", "empty-width", "empty-spectrum-at",
         "empty-poly-at", "empty-target", "empty-solve-path",
@@ -279,6 +287,33 @@ def test_bad_input_exits_2_with_one_line(tmp_path, doc, args):
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
     assert proc.stdout == ""
+
+
+def test_null_parent_is_no_parent(capsys, tmp_path):
+    # the top row with "parent": null and no "lambda" is the same tree and
+    # gives the same report, byte for byte, as the row without the key
+    assert (build_from_spec(NULL_PARENT).to_spec()
+            == build_from_spec(STAR).to_spec())
+    f = tmp_path / "star.json"
+    outs = []
+    for doc in (STAR, NULL_PARENT):
+        f.write_text(doc)
+        assert main(["spectrum", "--tree", str(f), "--verify"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+
+
+def test_top_row_with_lambda_is_refused(capsys, tmp_path):
+    # a weight on the top row would silently replace top_lambda
+    f = tmp_path / "star.json"
+    for doc in (TOP_ROW_LAMBDA,
+                NULL_PARENT.replace('"parent": null,',
+                                    '"parent": null, "lambda": "5/1",')):
+        f.write_text(doc)
+        assert main(["spectrum", "--tree", str(f)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: bad vertex row 'x': ")
+        assert err.count("\n") == 1
 
 
 def test_report_writes_integers_past_the_str_digit_limit(capsys):
@@ -341,6 +376,54 @@ def test_growth_builds_no_tree(capsys, monkeypatch):
     assert built == []
     assert [row["size"] for row in report["results"]["rows"]] == [
         15, 31, 63, 127]
+
+
+def test_growth_small_norm_builds_no_tree(capsys, monkeypatch):
+    # the pool's small-norm op reads the compact construction: no vertex
+    # tree, and no vertex residual
+    built, residuals = [], []
+    init = TreeTruncation.__init__
+    residual = SolutionField.residual
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_residual(self, v):
+        residuals.append(v)
+        return residual(self, v)
+
+    monkeypatch.setattr(TreeTruncation, "__init__", counted_init)
+    monkeypatch.setattr(SolutionField, "residual", counted_residual)
+    code, report = run(capsys, ["growth", "--generator", "small-norm",
+                                "--depths", "3..30"])
+    assert code == 0 and report["results"]["bounded_by_one"]
+    assert built == [] and residuals == []
+    assert [row["size"] for row in report["results"]["rows"]] == [
+        1 + n * (n + 3) // 2 for n in range(3, 31)]
+
+
+def test_construct_small_norm_verifies_its_field_once(capsys, monkeypatch):
+    # the written tree is built once and its field checked once, vertex
+    # by vertex, for the report
+    sizes, verified = [], []
+    init = TreeTruncation.__init__
+    verify = SolutionField.verify
+
+    def counted_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        sizes.append(self.size)
+
+    def counted_verify(self):
+        verified.append(len(self.satisfied_at))
+        return verify(self)
+
+    monkeypatch.setattr(TreeTruncation, "__init__", counted_init)
+    monkeypatch.setattr(SolutionField, "verify", counted_verify)
+    code, report = run(capsys, ["construct", "--example", "small-norm",
+                                "--depth", "6"])
+    assert code == 0 and report["results"]["residuals_zero"]
+    assert sizes == [28] and verified == [27]
 
 
 def test_bounded_path_builds_one_tree(capsys, monkeypatch):

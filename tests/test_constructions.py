@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import random
 from fractions import Fraction as F
@@ -318,6 +319,59 @@ def test_small_norm_profile_rows_are_the_stage_truncations():
         assert row.norm2 == total[n]
         assert row.size == len(tree.descendants(xs[n]))
         assert row.carleman_sum == sum(1 / tree.lam[x] for x in xs[:n + 1])
+
+
+@pytest.mark.parametrize("depth", range(1, 41))
+def test_small_norm_compact_check_agrees_with_the_vertex_check(depth):
+    # the 3 depth compact equations and the vertex residuals of the
+    # expanded field, on the expanded tree the construct command writes
+    res = build_small_norm_pair(depth)
+    assert constructions._equations_hold(res) is True
+    assert res.solution.verify() is True
+    tree = res.tree
+    assert tree.size == 1 + depth * (depth + 3) // 2
+    assert [tree.ids[x] for x in res.path.vertices] == [
+        f"x{n}" for n in range(depth + 1)]
+    assert [tree.lam[x] for x in res.path.vertices] == res.path_lam
+
+
+def _tampered(res, name: str, index: int, delta=1):
+    values = list(getattr(res, name))
+    values[index] = values[index] + delta
+    return dataclasses.replace(res, **{name: values})
+
+
+def _last_head_refitted(res):
+    """f_depth moved, and sigma_depth moved with it so that (b) still holds
+    at the last stage: only (a) at depth - 1 sees the change, and on the
+    vertices the head of the last chain."""
+    out = _tampered(res, "free", -1)
+    scale = list(res.scale)
+    scale[-1] = res.side_lam[-1] * res.values[-1] / out.free[-1]
+    return dataclasses.replace(out, scale=scale)
+
+
+@pytest.mark.parametrize("tamper", [
+    *(lambda r, k=k: _tampered(r, "values", k) for k in (0, 2, 5)),
+    *(lambda r, n=n: _tampered(r, "scale", n) for n in (1, 3, 5)),
+    *(lambda r, n=n: _tampered(r, "side_lam", n) for n in (1, 3, 5)),
+    *(lambda r, m=m: _tampered(r, "free", m) for m in (0, 2, 4)),
+    *(lambda r, k=k: _tampered(r, "path_lam", k) for k in (0, 2, 4)),
+    _last_head_refitted,
+], ids=[*(f"value-x{k}" for k in (0, 2, 5)),
+        *(f"scale-s{n}" for n in (1, 3, 5)),
+        *(f"side-weight-s{n}" for n in (1, 3, 5)),
+        *(f"free-f{m}" for m in (0, 2, 4)),
+        *(f"path-weight-x{k}" for k in (0, 2, 4)),
+        "last-head-refitted"])
+def test_small_norm_tampering_fails_both_checks(tamper):
+    # one value changed: the compact check and the vertex check of the
+    # field expanded from the changed data both fail.  sigma_5 and
+    # lambda_{s_5} are read by (b) alone, and the refitted head by (a)
+    # alone, so neither check can be dropped
+    bad = tamper(build_small_norm_pair(5))
+    assert constructions._equations_hold(bad) is False
+    assert bad.solution.verify() is False
 
 
 # -- perturbed homogeneous --------------------------------------------

@@ -48,7 +48,11 @@ def _sha(data: bytes) -> str:
      "--depths", "3..6"),
     ("construct", "--example", "bounded-path", "--depth", "3", "--out",
      "bounded3.json"),
-], ids=["growth", "construct-out"])
+    ("growth", "--generator", "small-norm", "--depths", "3..30"),
+    ("construct", "--example", "small-norm", "--depth", "4", "--out",
+     "small4.json"),
+], ids=["growth", "construct-out", "growth-small-norm",
+        "construct-small-norm-out"])
 def test_op_digest_matches_a_direct_run(tool, capsys, tmp_path, monkeypatch,
                                         argv):
     monkeypatch.chdir(tmp_path)

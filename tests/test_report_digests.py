@@ -70,6 +70,18 @@ PINNED = [
      "baa1ae60cc2302b6fb751dc0682261405988d0095f940f33a1cf06cee11dad9d"),
     (("growth", "--generator", "small-norm", "--depths", "1..60"), 0,
      "08b11b666ec7146e915de956b43fbfdfbdf70fca32873d1e5dee4a5ceb736c65"),
+    # the first stages: x_0 has no predecessor and s_1 no chain below
+    # its head
+    (("growth", "--generator", "small-norm", "--depths", "1"), 0,
+     "9254a3f87c6378b7f781fa685a52c1c908f794f93cb4b49764ffb58157ae8271"),
+    (("growth", "--generator", "small-norm", "--depths", "1..2"), 0,
+     "24e12a851d64aec58b9980939c03a0c891054d4113576b01f98556397023cd62"),
+    (("construct", "--example", "small-norm", "--depth", "1", "--out",
+      "small1.json"), 0,
+     "60bc671a0020fa7085d3c44c08ae6aafaf6c5d76f2fe2f83dce76fda2ea357e5"),
+    (("construct", "--example", "small-norm", "--depth", "2", "--out",
+      "small2.json"), 0,
+     "1337bee16f5c0b05d2408ab9c9dde24857d738b167cbc5759606fcd7f89aa8b1"),
     (("construct", "--example", "real-obstruction", "--depth", "5",
       "--out", "obstruction.json"), 0,
      "a91ae0bd1b97032f4772162701c5476f23138b0ecb99cbfff7876c36f55e0450"),
@@ -154,6 +166,10 @@ PINNED = [
 WRITTEN = {
     "obstruction.json":
         "791d3e99afc56e20378d7c041fed1376052884e803cdbe067e14231f6e78759a",
+    "small1.json":
+        "e9f783d9dc162ef236d42752fbc641004d3d759f52237139c8935e97548c69e1",
+    "small2.json":
+        "52898d791f99c92c7ad0e54089aecf6a66b4f7d45346bcd0c7c3d55e893d346f",
     "small12.json":
         "31e1c8f81b6d2bfd53ce0a7b8c55973eec8df634aae74bf4c4c4627f63147ea0",
     "small40.json":
